@@ -17,7 +17,7 @@ import sys
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
-from tmc_forge.gen import Lcg, gen_value, mix_seed
+from tmc_forge.gen import Lcg, at_size, gen_value, mix_seed
 from tmc_forge.runtime import TmcRuntimeError, eval_program
 from tmc_forge.surface import parse_program
 from tmc_forge.transform import transform_program
@@ -25,7 +25,7 @@ from tmc_forge.transform import transform_program
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 PLAN = [
-    # (file, entry, arg spec templates; N is replaced by the size)
+    # (file, entry, arg spec templates; a size field N takes the size)
     ("map.tmc", "map", ["fun:add1", "list:N"]),
     ("filter.tmc", "filter", ["fun:is_small", "list:N"]),
     ("umap.tmc", "umap", ["fun:add1", "list:N"]),
@@ -36,7 +36,7 @@ PLAN = [
 
 def measure(program, entry, specs, size, seed):
     rng = Lcg(mix_seed(seed, size))
-    args = [gen_value(s.replace("N", str(size)), rng) for s in specs]
+    args = [gen_value(at_size(s, size), rng) for s in specs]
     try:
         _, m, _ = eval_program(program, entry, args)
         return dict(max_stack_depth=m.max_stack_depth,

@@ -9,6 +9,7 @@ ambiguity when two constructor arguments compete for the single sub-context.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Optional
 
 from .ir import (
     BUILTINS,
@@ -23,15 +24,14 @@ from .ir import (
     Diagnostic,
     Expr,
     FunDef,
-    Let,
     Letrec,
-    Match,
     Path,
     Program,
-    Seq,
-    SetRef,
     all_identifiers,
+    children,
     iter_fundefs,
+    tmc_children,
+    with_children,
 )
 
 
@@ -98,7 +98,7 @@ class ScopeVerdict:
 
 
 def _is_direct_call(e: Expr, marks: MarkSet, env: ScopeEnv,
-                    value_scope: set[str]) -> bool:
+                    value_scope: frozenset[str]) -> bool:
     """Call to a marked function by its function name (not through a binder)."""
 
     return (isinstance(e, Call)
@@ -107,78 +107,52 @@ def _is_direct_call(e: Expr, marks: MarkSet, env: ScopeEnv,
             and env.eligible(e.callee))
 
 
+@dataclass(frozen=True)
+class Candidate:
+    """An eligible marked call in a tail-modulo-cons position."""
+
+    path: Path
+    under_constr: bool  # some position on the way down is a constructor argument
+    annotated: bool  # the call carries (@ tailcall)
+
+
+def tmc_candidates(e: Expr, marks: MarkSet, env: ScopeEnv,
+                   value_scope: frozenset[str] = frozenset(),
+                   path: Path = (), live: Optional[dict] = None) -> list[Candidate]:
+    """Every eligible marked call in a tail-modulo-cons position of `e`,
+    left to right; `value_scope` holds the value variables bound around it.
+    When given, `live` is filled with every path on the way down to a
+    candidate (the candidate's own included), mapped to whether an
+    annotated candidate lies below it."""
+
+    out: list[Candidate] = []
+
+    def go(x: Expr, scope: frozenset[str], p: Path, under: bool):
+        """Whether an annotated candidate lies below x; None if none does."""
+        if _is_direct_call(x, marks, env, scope):
+            annotated = TAILCALL in x.attrs
+            out.append(Candidate(p, under, annotated))
+        else:
+            annotated = None
+            for label, c, bound, in_constr in tmc_children(x):
+                below = go(c, scope.union(bound) if bound else scope,
+                           p + (label,), under or in_constr)
+                if below is not None:
+                    annotated = annotated or below
+        if annotated is not None and live is not None:
+            live[p] = annotated
+        return annotated
+
+    go(e, frozenset(value_scope), path, False)
+    return out
+
+
 def has_candidate(e: Expr, marks: MarkSet, env: ScopeEnv,
                   value_scope: frozenset[str] = frozenset()) -> bool:
     """True iff some tail-modulo-cons position of `e` holds an eligible
     marked call."""
 
-    if _is_direct_call(e, marks, env, value_scope):
-        return True
-    if isinstance(e, Let):
-        return has_candidate(e.body, marks, env, value_scope | {e.binder})
-    if isinstance(e, Seq):
-        return has_candidate(e.second, marks, env, value_scope)
-    if isinstance(e, Match):
-        return any(
-            has_candidate(b, marks, env,
-                          value_scope | set(_pat_vars(pt)))
-            for pt, b in e.clauses)
-    if isinstance(e, Constr):
-        return any(has_candidate(a, marks, env, value_scope) for a in e.args)
-    if isinstance(e, Letrec):
-        return has_candidate(e.body, marks, env, value_scope)
-    return False
-
-
-def _pat_vars(pt):
-    from .ir import pattern_vars
-
-    return pattern_vars(pt)
-
-
-def _has_annotated_candidate(e: Expr, marks: MarkSet, env: ScopeEnv,
-                             value_scope: frozenset[str]) -> bool:
-    if _is_direct_call(e, marks, env, value_scope) and TAILCALL in e.attrs:
-        return True
-    if isinstance(e, Let):
-        return _has_annotated_candidate(e.body, marks, env, value_scope | {e.binder})
-    if isinstance(e, Seq):
-        return _has_annotated_candidate(e.second, marks, env, value_scope)
-    if isinstance(e, Match):
-        return any(_has_annotated_candidate(b, marks, env,
-                                            value_scope | set(_pat_vars(pt)))
-                   for pt, b in e.clauses)
-    if isinstance(e, Constr):
-        return any(_has_annotated_candidate(a, marks, env, value_scope)
-                   for a in e.args)
-    if isinstance(e, Letrec):
-        return _has_annotated_candidate(e.body, marks, env, value_scope)
-    return False
-
-
-def _candidate_call_paths(e: Expr, marks: MarkSet, env: ScopeEnv,
-                          value_scope: frozenset[str], path: Path,
-                          out: list[Path]) -> None:
-    if _is_direct_call(e, marks, env, value_scope):
-        out.append(path)
-        return
-    if isinstance(e, Let):
-        _candidate_call_paths(e.body, marks, env, value_scope | {e.binder},
-                              path + ("body",), out)
-    elif isinstance(e, Seq):
-        _candidate_call_paths(e.second, marks, env, value_scope,
-                              path + ("second",), out)
-    elif isinstance(e, Match):
-        for j, (pt, b) in enumerate(e.clauses):
-            _candidate_call_paths(b, marks, env, value_scope | set(_pat_vars(pt)),
-                                  path + (f"clause{j}",), out)
-    elif isinstance(e, Constr):
-        for i, a in enumerate(e.args):
-            _candidate_call_paths(a, marks, env, value_scope,
-                                  path + (f"arg{i}",), out)
-    elif isinstance(e, Letrec):
-        _candidate_call_paths(e.body, marks, env, value_scope,
-                              path + ("letrec_body",), out)
+    return bool(tmc_candidates(e, marks, env, value_scope))
 
 
 def decompose_tmc(e: Expr, marks: MarkSet, env: ScopeEnv,
@@ -190,63 +164,40 @@ def decompose_tmc(e: Expr, marks: MarkSet, env: ScopeEnv,
     contain candidates and annotations do not single one out.
     """
 
+    live: dict[Path, bool] = {}
+    cands = tmc_candidates(e, marks, env, value_scope, path, live)
+    call_paths = {c.path for c in cands}
     holes: list[tuple[Expr, str]] = []
     chosen: list[Path] = []
+    calls: set[int] = set()
 
-    def hole(expr: Expr, under_constr: bool) -> DecompHole:
-        holes.append((expr, STRICT_MOD_CONS if under_constr else PLAIN_TAIL))
-        return DecompHole(len(holes) - 1)
-
-    def go(x: Expr, scope: frozenset[str], p: Path, under: bool) -> Expr:
-        if not has_candidate(x, marks, env, scope):
-            return hole(x, under)
-        if _is_direct_call(x, marks, env, scope):
-            return hole(x, under)
-        if isinstance(x, Let):
-            return Let(x.binder, x.bound,
-                       go(x.body, scope | {x.binder}, p + ("body",), under),
-                       span=x.span)
-        if isinstance(x, Seq):
-            return Seq(x.first, go(x.second, scope, p + ("second",), under),
-                       span=x.span)
-        if isinstance(x, Match):
-            clauses = []
-            for j, (pt, b) in enumerate(x.clauses):
-                clauses.append((pt, go(b, scope | set(_pat_vars(pt)),
-                                       p + (f"clause{j}",), under)))
-            return Match(x.scrutinee, clauses, span=x.span)
-        if isinstance(x, Letrec):
-            return Letrec(x.group, go(x.body, scope, p + ("letrec_body",), under),
-                          span=x.span)
+    def go(x: Expr, p: Path, under: bool) -> Expr:
+        if p in call_paths or p not in live:
+            if p in call_paths:
+                calls.add(len(holes))
+            holes.append((x, STRICT_MOD_CONS if under else PLAIN_TAIL))
+            return DecompHole(len(holes) - 1)
+        tails = [label for label, *_ in tmc_children(x)]
         if isinstance(x, Constr):
-            cands = [i for i, a in enumerate(x.args)
-                     if has_candidate(a, marks, env, scope)]
-            if len(cands) > 1:
-                annotated = [i for i in cands
-                             if _has_annotated_candidate(x.args[i], marks, env, scope)]
-                if len(annotated) == 1:
-                    j = annotated[0]
-                else:
-                    cpaths: list[Path] = []
-                    for i in cands:
-                        _candidate_call_paths(x.args[i], marks, env, scope,
-                                              p + (f"arg{i}",), cpaths)
+            tails = [label for label in tails if p + (label,) in live]
+            if len(tails) > 1:
+                picked = [label for label in tails if live[p + (label,)]]
+                if len(picked) != 1:
                     raise AnalysisError(Diagnostic(
                         "Error", "AmbiguousTmc",
-                        f"{len(cands)} constructor arguments contain TMC "
+                        f"{len(tails)} constructor arguments contain TMC "
                         "candidates; add a (@ tailcall) annotation to pick one",
-                        x.span, p, candidate_paths=cpaths))
-            else:
-                j = cands[0]
-            chosen.append(p + (f"arg{j}",))
-            args = list(x.args)
-            args[j] = go(x.args[j], scope, p + (f"arg{j}",), True)
-            return Constr(x.tag, args, span=x.span)
-        # has_candidate returned True for a node with no tail sub-positions
-        raise AssertionError(f"unreachable decomposition case: {x!r}")
+                        x.span, p, candidate_paths=[
+                            c.path for c in cands if c.path[:len(p)] == p]))
+                tails = picked
+            chosen.append(p + (tails[0],))
+            under = True
+        new = []
+        for label, c, _ in children(x):
+            new.append(go(c, p + (label,), under) if label in tails else c)
+        return with_children(x, new)
 
-    ctx = go(e, value_scope, path, False)
-    return Decomposition(ctx, holes, chosen)
+    return Decomposition(go(e, path, False), holes, chosen, calls)
 
 
 def resolve_scope(p: Program, marks: MarkSet) -> ScopeVerdict:
@@ -254,73 +205,33 @@ def resolve_scope(p: Program, marks: MarkSet) -> ScopeVerdict:
 
     verdict = ScopeVerdict()
 
-    def walk_expr(e: Expr, env: ScopeEnv, scope: set[str], path: Path):
-        if isinstance(e, Call):
-            if e.callee in marks.marked and e.callee not in scope:
-                verdict.eligible_paths[path] = env.eligible(e.callee)
-            for i, a in enumerate(e.args):
-                walk_expr(a, env, scope, path + (f"arg{i}",))
-        elif isinstance(e, Let):
-            walk_expr(e.bound, env, scope, path + ("bound",))
-            walk_expr(e.body, env, scope | {e.binder}, path + ("body",))
-        elif isinstance(e, Seq):
-            walk_expr(e.first, env, scope, path + ("first",))
-            walk_expr(e.second, env, scope, path + ("second",))
-        elif isinstance(e, Constr):
-            for i, a in enumerate(e.args):
-                walk_expr(a, env, scope, path + (f"arg{i}",))
-        elif isinstance(e, Match):
-            walk_expr(e.scrutinee, env, scope, path + ("scrutinee",))
-            for j, (pt, b) in enumerate(e.clauses):
-                walk_expr(b, env, scope | set(_pat_vars(pt)),
-                          path + (f"clause{j}",))
-        elif isinstance(e, SetRef):
-            walk_expr(e.dest, env, scope, path + ("dest",))
-            walk_expr(e.index, env, scope, path + ("index",))
-            walk_expr(e.value, env, scope, path + ("value",))
-        elif isinstance(e, Letrec):
+    def walk_expr(e: Expr, env: ScopeEnv, scope: frozenset[str], path: Path):
+        if isinstance(e, Call) and e.callee in marks.marked and e.callee not in scope:
+            verdict.eligible_paths[path] = env.eligible(e.callee)
+        if isinstance(e, Letrec):
             for f in e.group:
-                walk_expr(f.body, env.enter(e.group, f), set(f.params),
+                walk_expr(f.body, env.enter(e.group, f), frozenset(f.params),
                           path + (f.name,))
-            walk_expr(e.body, env, scope, path + ("letrec_body",))
+        for label, c, bound in children(e):
+            walk_expr(c, env, scope.union(bound) if bound else scope,
+                      path + (label,))
 
     root = ScopeEnv()
     for gi, group in enumerate(p.groups):
         for f in group:
             fenv = root.enter(group, f)
-            walk_expr(f.body, fenv, set(f.params), (f"group{gi}", f.name))
-            if TAIL_MOD_CONS in f.attrs:
-                d_env = fenv
-                body_has_strict = _has_strict_candidate(f.body, marks, d_env)
-                if not body_has_strict:
-                    verdict.warnings.append(Diagnostic(
-                        "Warning", "UselessMark",
-                        f"'{f.name}' has no strictly-modulo-cons candidate; "
-                        "its DPS version is trivial",
-                        f.span, (f"group{gi}", f.name)))
-    walk_expr(p.main, root, set(), ("main",))
+            params = frozenset(f.params)
+            walk_expr(f.body, fenv, params, (f"group{gi}", f.name))
+            if TAIL_MOD_CONS in f.attrs and not any(
+                    c.under_constr
+                    for c in tmc_candidates(f.body, marks, fenv, params)):
+                verdict.warnings.append(Diagnostic(
+                    "Warning", "UselessMark",
+                    f"'{f.name}' has no strictly-modulo-cons candidate; "
+                    "its DPS version is trivial",
+                    f.span, (f"group{gi}", f.name)))
+    walk_expr(p.main, root, frozenset(), ("main",))
     return verdict
-
-
-def _has_strict_candidate(e: Expr, marks: MarkSet, env: ScopeEnv,
-                          scope: frozenset[str] = frozenset(),
-                          under: bool = False) -> bool:
-    if under and _is_direct_call(e, marks, env, scope):
-        return True
-    if isinstance(e, Let):
-        return _has_strict_candidate(e.body, marks, env, scope | {e.binder}, under)
-    if isinstance(e, Seq):
-        return _has_strict_candidate(e.second, marks, env, scope, under)
-    if isinstance(e, Match):
-        return any(_has_strict_candidate(b, marks, env,
-                                         scope | set(_pat_vars(pt)), under)
-                   for pt, b in e.clauses)
-    if isinstance(e, Constr):
-        return any(_has_strict_candidate(a, marks, env, scope, True)
-                   for a in e.args)
-    if isinstance(e, Letrec):
-        return _has_strict_candidate(e.body, marks, env, scope, under)
-    return False
 
 
 def check_tailcall_annotations(p: Program, marks: MarkSet) -> list[Diagnostic]:
@@ -333,54 +244,34 @@ def check_tailcall_annotations(p: Program, marks: MarkSet) -> list[Diagnostic]:
 
     diags: list[Diagnostic] = []
 
-    def walk(e: Expr, env: ScopeEnv, scope: set[str], tail: bool,
+    def walk(e: Expr, env: ScopeEnv, scope: frozenset[str], tail: bool,
              under_constr: bool, path: Path):
-        if isinstance(e, Call):
-            for i, a in enumerate(e.args):
-                walk(a, env, scope, False, False, path + (f"arg{i}",))
-            if TAILCALL in e.attrs:
-                if tail and not under_constr:
-                    return  # already a plain tail call: the annotation holds
-                ok = (tail and _is_direct_call(e, marks, env, scope))
-                if not ok:
-                    eligible_region = (e.callee in marks.marked
-                                       and e.callee not in scope
-                                       and env.eligible(e.callee))
-                    sev = "Error" if eligible_region or env.any_marked else "Warning"
-                    diags.append(Diagnostic(
-                        sev, "TailcallNotSatisfiable",
-                        f"(@ tailcall) on call to '{e.callee}' cannot become "
-                        "a tail call here",
-                        e.span, path))
-        elif isinstance(e, Let):
-            walk(e.bound, env, scope, False, False, path + ("bound",))
-            walk(e.body, env, scope | {e.binder}, tail, under_constr,
-                 path + ("body",))
-        elif isinstance(e, Seq):
-            walk(e.first, env, scope, False, False, path + ("first",))
-            walk(e.second, env, scope, tail, under_constr, path + ("second",))
-        elif isinstance(e, Constr):
-            for i, a in enumerate(e.args):
-                walk(a, env, scope, tail, True, path + (f"arg{i}",))
-        elif isinstance(e, Match):
-            walk(e.scrutinee, env, scope, False, False, path + ("scrutinee",))
-            for j, (pt, b) in enumerate(e.clauses):
-                walk(b, env, scope | set(_pat_vars(pt)), tail, under_constr,
-                     path + (f"clause{j}",))
-        elif isinstance(e, SetRef):
-            walk(e.dest, env, scope, False, False, path + ("dest",))
-            walk(e.index, env, scope, False, False, path + ("index",))
-            walk(e.value, env, scope, False, False, path + ("value",))
-        elif isinstance(e, Letrec):
+        if isinstance(e, Letrec):
             for f in e.group:
-                walk(f.body, env.enter(e.group, f), set(f.params), True, False,
-                     path + (f.name,))
-            walk(e.body, env, scope, tail, under_constr, path + ("letrec_body",))
+                walk(f.body, env.enter(e.group, f), frozenset(f.params), True,
+                     False, path + (f.name,))
+        tmc = {label: under for label, _, _, under in tmc_children(e)}
+        for label, c, bound in children(e):
+            if label in tmc:
+                walk(c, env, scope.union(bound) if bound else scope, tail,
+                     under_constr or tmc[label], path + (label,))
+            else:
+                walk(c, env, scope, False, False, path + (label,))
+        if isinstance(e, Call) and TAILCALL in e.attrs:
+            direct = _is_direct_call(e, marks, env, scope)
+            # Holds in a plain tail position, or a TMC one that is rewritten.
+            if not (tail and (direct or not under_constr)):
+                sev = "Error" if direct or env.any_marked else "Warning"
+                diags.append(Diagnostic(
+                    sev, "TailcallNotSatisfiable",
+                    f"(@ tailcall) on call to '{e.callee}' cannot become "
+                    "a tail call here",
+                    e.span, path))
 
     root = ScopeEnv()
     for gi, group in enumerate(p.groups):
         for f in group:
-            walk(f.body, root.enter(group, f), set(f.params), True, False,
-                 (f"group{gi}", f.name))
-    walk(p.main, root, set(), False, False, ("main",))
+            walk(f.body, root.enter(group, f), frozenset(f.params), True,
+                 False, (f"group{gi}", f.name))
+    walk(p.main, root, frozenset(), False, False, ("main",))
     return diags

@@ -1,6 +1,6 @@
 """Batch front door: tmc-forge <parse|transform|run|diff|bench> [flags].
 
-Exit codes: 0 success (possibly with warnings), 1 static error,
+Exit codes: 0 success (possibly with warnings), 1 static or usage error,
 2 runtime error.  All commands are deterministic given (file, flags, seed).
 """
 
@@ -12,7 +12,7 @@ import os
 import sys
 from dataclasses import dataclass, field
 
-from .gen import BadSpec, Lcg, gen_value, mix_seed
+from .gen import BadSpec, Lcg, at_size, gen_value, mix_seed
 from .ir import Diagnostic, Program
 from .runtime import (
     DEFAULT_MAX_STACK,
@@ -101,8 +101,8 @@ def run_bench(program: Program, entries: list[str], sizes: list[int],
               max_steps: int = DEFAULT_MAX_STEPS) -> list[BenchRow]:
     """One row per (entry, size); runs on the transformed program.
 
-    Any arg spec containing the placeholder `N` has it replaced by the
-    current size.
+    In each arg spec, a size field that is exactly `N` is replaced by the
+    current size (see gen.at_size).
     """
 
     transformed = transform_program(program)
@@ -110,8 +110,7 @@ def run_bench(program: Program, entries: list[str], sizes: list[int],
     for entry in entries:
         for size in sizes:
             rng = Lcg(mix_seed(seed, size))
-            specs = [s.replace("N", str(size)) for s in arg_specs]
-            args = [gen_value(s, rng) for s in specs]
+            args = [gen_value(at_size(s, size), rng) for s in arg_specs]
             try:
                 _, m, _ = eval_program(transformed, entry, args,
                                        max_stack, max_steps)
@@ -175,14 +174,6 @@ def _write_out(args, text: str) -> None:
         print(text)
 
 
-def _runtime_args(args):
-    rng = Lcg(args.seed)
-    try:
-        return [gen_value(s, rng) for s in args.arg]
-    except BadSpec as exc:
-        raise SystemExit(f"usage error: {exc}")
-
-
 def cmd_run(args) -> int:
     try:
         p = _load(args.file)
@@ -195,7 +186,8 @@ def cmd_run(args) -> int:
         except TransformError as exc:
             _emit_diags(exc.diagnostics, args.file)
             return 1
-    vals = _runtime_args(args)
+    rng = Lcg(args.seed)
+    vals = [gen_value(s, rng) for s in args.arg]
     try:
         value, metrics, interp = eval_program(p, args.entry, vals,
                                               args.max_stack, args.max_steps)
@@ -240,7 +232,10 @@ def cmd_bench(args) -> int:
     except ParseError as exc:
         print(f"ERROR ParseError {args.file}:{exc}", file=sys.stderr)
         return 1
-    sizes = [int(s) for s in args.sizes.split(",") if s]
+    try:
+        sizes = [int(s) for s in args.sizes.split(",") if s]
+    except ValueError:
+        raise BadSpec(f"bad --sizes value {args.sizes!r}") from None
     try:
         rows = run_bench(p, args.entry, sizes, args.arg, args.seed,
                          args.max_stack, args.max_steps)
@@ -264,16 +259,19 @@ def build_parser() -> argparse.ArgumentParser:
                                  description="TMC transformation workbench")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common_runtime(sp):
-        sp.add_argument("--entry", required=True)
-        sp.add_argument("--arg", action="append", default=[],
-                        help="input spec: INT, int, list:<n>, sortedlist:<n>, "
-                             "listof:<n>, tree:<d>, cmmlike:<n>, fun:<name>")
+    def limits(sp):
         sp.add_argument("--seed", type=int, default=1)
         sp.add_argument("--max-stack", type=int, default=DEFAULT_MAX_STACK,
                         dest="max_stack")
         sp.add_argument("--max-steps", type=int, default=DEFAULT_MAX_STEPS,
                         dest="max_steps")
+
+    def common_runtime(sp):
+        sp.add_argument("--entry", required=True)
+        sp.add_argument("--arg", action="append", default=[],
+                        help="input spec: INT, int, list:<n>, sortedlist:<n>, "
+                             "listof:<n>, tree:<d>, cmmlike:<n>, fun:<name>")
+        limits(sp)
 
     sp = sub.add_parser("parse", help="parse and print canonical form")
     sp.add_argument("file")
@@ -303,13 +301,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("file")
     sp.add_argument("--entry", action="append", required=True)
     sp.add_argument("--arg", action="append", default=[],
-                    help="input spec; the letter N is replaced by the size")
+                    help="input spec; a size field that is exactly N is "
+                         "replaced by the size")
     sp.add_argument("--sizes", default="10,100,1000")
-    sp.add_argument("--seed", type=int, default=1)
-    sp.add_argument("--max-stack", type=int, default=DEFAULT_MAX_STACK,
-                    dest="max_stack")
-    sp.add_argument("--max-steps", type=int, default=DEFAULT_MAX_STEPS,
-                    dest="max_steps")
+    limits(sp)
     sp.add_argument("--csv")
     sp.set_defaults(fn=cmd_bench)
     return ap
@@ -317,7 +312,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except BadSpec as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

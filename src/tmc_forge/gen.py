@@ -35,6 +35,21 @@ class BadSpec(ValueError):
     pass
 
 
+# Generators whose spec ends in a size: `<name>:<n>`, or `listof:<n>x<m>`.
+SIZED = ("list", "sortedlist", "tree", "cmmlike", "listof")
+
+
+def at_size(spec: str, size: int) -> str:
+    """`spec` with each size field that is exactly `N` replaced by `size`:
+    `list:N` and `listof:Nx5` take the size, `fun:addN` stays as it is."""
+
+    name, sep, arg = spec.partition(":")
+    if name not in SIZED:
+        return spec
+    return name + sep + "x".join(str(size) if f == "N" else f
+                                 for f in arg.split("x"))
+
+
 def gen_value(spec: str, rng: Lcg) -> Lit:
     """Build an input literal from a generator spec.
 
@@ -49,7 +64,7 @@ def gen_value(spec: str, rng: Lcg) -> Lit:
     name, _, arg = spec.partition(":")
     if name == "fun" and arg:
         return LFun(arg)
-    if name in ("list", "sortedlist", "tree", "cmmlike", "listof"):
+    if name in SIZED:
         inner = None
         if name == "listof" and "x" in arg:
             arg, _, inner_s = arg.partition("x")

@@ -181,13 +181,73 @@ class Decomposition:
     context: Expr
     holes: list[tuple[Expr, str]]  # (expression, PLAIN_TAIL | STRICT_MOD_CONS)
     chosen_constructor_paths: list[tuple]
+    calls: set[int] = field(default_factory=set)  # holes that are eligible calls
 
 
 Path = tuple
 
 
-def path_str(path: Path) -> str:
-    return "/".join(str(p) for p in path) if path else "<root>"
+def children(e: Expr) -> list[tuple[str, Expr, tuple]]:
+    """(label, child, bound_names) for each direct subexpression of e, in
+    evaluation order; bound_names are the value variables the child sees
+    in addition to e's.  Labels are the path components used by diagnostics.
+    The bodies of a Letrec group are not children: they open a fresh scope.
+    """
+
+    if isinstance(e, (Call, Constr)):
+        return [(f"arg{i}", a, ()) for i, a in enumerate(e.args)]
+    if isinstance(e, Let):
+        return [("bound", e.bound, ()), ("body", e.body, (e.binder,))]
+    if isinstance(e, Seq):
+        return [("first", e.first, ()), ("second", e.second, ())]
+    if isinstance(e, Match):
+        return [("scrutinee", e.scrutinee, ())] + [
+            (f"clause{j}", b, tuple(pattern_vars(pt)))
+            for j, (pt, b) in enumerate(e.clauses)]
+    if isinstance(e, SetRef):
+        return [("dest", e.dest, ()), ("index", e.index, ()),
+                ("value", e.value, ())]
+    if isinstance(e, Letrec):
+        return [("letrec_body", e.body, ())]
+    return []
+
+
+def with_children(e: Expr, new: list[Expr]) -> Expr:
+    """e with `new` in place of its children (in `children` order); spans,
+    binders, patterns, attributes and Letrec groups are kept.  Walkers fill
+    `new` in a plain loop, so that they recurse in one frame per level."""
+
+    if isinstance(e, Call):
+        return Call(e.callee, new, e.attrs, span=e.span)
+    if isinstance(e, Constr):
+        return Constr(e.tag, new, span=e.span)
+    if isinstance(e, Let):
+        return Let(e.binder, new[0], new[1], span=e.span)
+    if isinstance(e, Seq):
+        return Seq(new[0], new[1], span=e.span)
+    if isinstance(e, Match):
+        return Match(new[0], [(pt, b) for (pt, _), b in zip(e.clauses, new[1:])],
+                     span=e.span)
+    if isinstance(e, SetRef):
+        return SetRef(new[0], new[1], new[2], span=e.span)
+    if isinstance(e, Letrec):
+        return Letrec(e.group, new[0], span=e.span)
+    return e
+
+
+def tmc_children(e: Expr) -> list[tuple[str, Expr, tuple, bool]]:
+    """The tail-modulo-cons positions directly below e, as
+    (label, child, bound_names, under_constr): Let.body, Seq.second, the
+    Match clause bodies, Letrec.body and the Constr arguments, which have
+    under_constr set.  Every pass that follows TMC positions derives them
+    from here."""
+
+    under = isinstance(e, Constr)
+    if under or isinstance(e, (Let, Seq, Match, Letrec)):
+        # Every child but the ones evaluated before the rest of the node.
+        return [(label, c, bound, under) for label, c, bound in children(e)
+                if label not in ("bound", "first", "scrutinee")]
+    return []
 
 
 def plug(d: Decomposition) -> Expr:
@@ -201,21 +261,10 @@ def plug(d: Decomposition) -> Expr:
                 raise ValueError("decomposition arity mismatch")
             used[0] += 1
             return d.holes[e.index][0]
-        if isinstance(e, Let):
-            return Let(e.binder, go(e.bound), go(e.body), span=e.span)
-        if isinstance(e, Seq):
-            return Seq(go(e.first), go(e.second), span=e.span)
-        if isinstance(e, Constr):
-            return Constr(e.tag, [go(a) for a in e.args], span=e.span)
-        if isinstance(e, Match):
-            return Match(go(e.scrutinee), [(p, go(b)) for p, b in e.clauses], span=e.span)
-        if isinstance(e, Letrec):
-            return Letrec(e.group, go(e.body), span=e.span)
-        if isinstance(e, Call):
-            return Call(e.callee, [go(a) for a in e.args], e.attrs, span=e.span)
-        if isinstance(e, SetRef):
-            return SetRef(go(e.dest), go(e.index), go(e.value), span=e.span)
-        return e
+        new = []
+        for _, c, _ in children(e):
+            new.append(go(c))
+        return with_children(e, new)
 
     out = go(d.context)
     if used[0] != len(d.holes):
@@ -269,66 +318,41 @@ def well_formed(p: Program) -> list[Diagnostic]:
                     "Error", "MisplacedHole",
                     "hole outside constructor-argument position",
                     e.span, path))
-            return
-        if isinstance(e, Var):
-            return
-        if isinstance(e, Int):
-            return
-        if isinstance(e, Call):
+        elif isinstance(e, Call):
             if (e.callee not in funcs and e.callee not in scope
                     and e.callee not in BUILTINS):
                 diags.append(Diagnostic(
                     "Error", "UnboundCallee",
                     f"callee '{e.callee}' is not a function, binder or builtin",
                     e.span, path))
-            for i, a in enumerate(e.args):
-                check_expr(a, path + (f"arg{i}",), scope, funcs, False)
-            return
-        if isinstance(e, Let):
-            check_expr(e.bound, path + ("bound",), scope, funcs, False)
-            check_expr(e.body, path + ("body",), scope | {e.binder}, funcs, False)
-            return
-        if isinstance(e, Seq):
-            check_expr(e.first, path + ("first",), scope, funcs, False)
-            check_expr(e.second, path + ("second",), scope, funcs, False)
-            return
-        if isinstance(e, Constr):
-            for i, a in enumerate(e.args):
-                check_expr(a, path + (f"arg{i}",), scope, funcs, True)
-            return
-        if isinstance(e, Match):
+        elif isinstance(e, Match):
             if not e.clauses:
                 diags.append(Diagnostic(
                     "Error", "EmptyMatch", "match with no clauses", e.span, path))
-            check_expr(e.scrutinee, path + ("scrutinee",), scope, funcs, False)
-            for j, (pat, body) in enumerate(e.clauses):
-                pvars = pattern_vars(pat)
-                seen: set[str] = set()
-                for v in pvars:
-                    if v in seen:
-                        diags.append(Diagnostic(
-                            "Error", "DuplicatePatternVar",
-                            f"'{v}' bound twice in one pattern",
-                            pat.span, path + (f"clause{j}",)))
-                    seen.add(v)
-                check_expr(body, path + (f"clause{j}",), scope | seen, funcs, False)
-            return
-        if isinstance(e, SetRef):
+        elif isinstance(e, SetRef):
             if isinstance(e.index, Int) and e.index.n < 1:
                 diags.append(Diagnostic(
                     "Error", "InvalidIndex",
                     f"setref index {e.index.n} must be >= 1 (fields are 1-indexed)",
                     e.span, path))
-            check_expr(e.dest, path + ("dest",), scope, funcs, False)
-            check_expr(e.index, path + ("index",), scope, funcs, False)
-            check_expr(e.value, path + ("value",), scope, funcs, False)
-            return
-        if isinstance(e, Letrec):
+        elif isinstance(e, Letrec):
             check_group(e.group, path + ("letrec",), scope, funcs)
-            inner = funcs | {f.name for f in e.group}
-            check_expr(e.body, path + ("letrec_body",), scope, inner, False)
-            return
-        raise TypeError(f"unknown expression node {e!r}")
+            funcs = funcs | {f.name for f in e.group}
+        elif not isinstance(e, (Var, Int, Let, Seq, Constr)):
+            raise TypeError(f"unknown expression node {e!r}")
+        patterns = ({f"clause{j}": pat for j, (pat, _) in enumerate(e.clauses)}
+                    if isinstance(e, Match) else {})
+        for label, c, bound in children(e):
+            seen: set[str] = set()
+            for v in bound:
+                if v in seen:
+                    diags.append(Diagnostic(
+                        "Error", "DuplicatePatternVar",
+                        f"'{v}' bound twice in one pattern",
+                        patterns[label].span, path + (label,)))
+                seen.add(v)
+            check_expr(c, path + (label,), scope | seen if seen else scope,
+                       funcs, isinstance(e, Constr))
 
     def check_group(group: list[FunDef], path: Path, scope: set[str],
                     funcs: set[str]) -> None:
@@ -367,38 +391,26 @@ def well_formed(p: Program) -> list[Diagnostic]:
     return diags
 
 
-def iter_fundefs(p: Program):
-    """Yield every function definition, including nested letrec groups."""
+def iter_fundefs(p: Program) -> list[FunDef]:
+    """Every function definition, including nested letrec groups, in
+    source order."""
 
-    def from_expr(e: Expr):
+    out: list[FunDef] = []
+
+    def from_expr(e: Expr) -> None:
         if isinstance(e, Letrec):
             for f in e.group:
-                yield f
-                yield from from_expr(f.body)
-            yield from from_expr(e.body)
-        elif isinstance(e, Let):
-            yield from from_expr(e.bound)
-            yield from from_expr(e.body)
-        elif isinstance(e, Seq):
-            yield from from_expr(e.first)
-            yield from from_expr(e.second)
-        elif isinstance(e, (Call, Constr)):
-            for a in e.args:
-                yield from from_expr(a)
-        elif isinstance(e, Match):
-            yield from from_expr(e.scrutinee)
-            for _, b in e.clauses:
-                yield from from_expr(b)
-        elif isinstance(e, SetRef):
-            yield from from_expr(e.dest)
-            yield from from_expr(e.index)
-            yield from from_expr(e.value)
+                out.append(f)
+                from_expr(f.body)
+        for _, c, _ in children(e):
+            from_expr(c)
 
     for group in p.groups:
         for f in group:
-            yield f
-            yield from from_expr(f.body)
-    yield from from_expr(p.main)
+            out.append(f)
+            from_expr(f.body)
+    from_expr(p.main)
+    return out
 
 
 def all_identifiers(e: Union[Expr, Program]) -> set[str]:
@@ -414,46 +426,33 @@ def all_identifiers(e: Union[Expr, Program]) -> set[str]:
             for s in pt.subpatterns:
                 pat(s)
 
+    def fun(f: FunDef):
+        out.add(f.name)
+        out.update(f.params)
+        go(f.body)
+
     def go(x: Expr):
         if isinstance(x, Var):
             out.add(x.name)
         elif isinstance(x, Call):
             out.add(x.callee)
-            for a in x.args:
-                go(a)
         elif isinstance(x, Let):
             out.add(x.binder)
-            go(x.bound)
-            go(x.body)
-        elif isinstance(x, Seq):
-            go(x.first)
-            go(x.second)
         elif isinstance(x, Constr):
             out.add(x.tag)
-            for a in x.args:
-                go(a)
         elif isinstance(x, Match):
-            go(x.scrutinee)
-            for pt, b in x.clauses:
+            for pt, _ in x.clauses:
                 pat(pt)
-                go(b)
-        elif isinstance(x, SetRef):
-            go(x.dest)
-            go(x.index)
-            go(x.value)
         elif isinstance(x, Letrec):
             for f in x.group:
-                out.add(f.name)
-                out.update(f.params)
-                go(f.body)
-            go(x.body)
+                fun(f)
+        for _, c, _ in children(x):
+            go(c)
 
     if isinstance(e, Program):
         for group in e.groups:
             for f in group:
-                out.add(f.name)
-                out.update(f.params)
-                go(f.body)
+                fun(f)
         go(e.main)
     else:
         go(e)

@@ -15,6 +15,7 @@ For each marked function f this produces:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Optional
 
 from .analysis import (
     AnalysisError,
@@ -43,7 +44,10 @@ from .ir import (
     SetRef,
     Var,
     all_identifiers,
+    children,
+    tmc_children,
     well_formed,
+    with_children,
 )
 
 
@@ -112,93 +116,67 @@ class CCtx:
         return e
 
 
-def _is_atomic(e: Expr) -> bool:
-    return isinstance(e, (Var, Int))
-
-
 class _Rewriter:
     def __init__(self, marks: MarkSet, compress: bool = True):
         self.marks = marks
         self.compress = compress
+        # id(group) -> (enclosing env, rewritten group); see rewrite_group.
+        self.groups: dict[int, tuple[ScopeEnv, list[FunDef]]] = {}
 
     # -- generic cleanup --------------------------------------------------
 
     def scrub(self, e: Expr, env: ScopeEnv) -> Expr:
         """Strip consumed attributes and expand nested letrec groups."""
 
-        if isinstance(e, Call):
-            return Call(e.callee, [self.scrub(a, env) for a in e.args],
-                        frozenset(), span=e.span)
-        if isinstance(e, Let):
-            return Let(e.binder, self.scrub(e.bound, env),
-                       self.scrub(e.body, env), span=e.span)
-        if isinstance(e, Seq):
-            return Seq(self.scrub(e.first, env), self.scrub(e.second, env),
-                       span=e.span)
-        if isinstance(e, Constr):
-            return Constr(e.tag, [self.scrub(a, env) for a in e.args],
-                          span=e.span)
-        if isinstance(e, Match):
-            return Match(self.scrub(e.scrutinee, env),
-                         [(p, self.scrub(b, env)) for p, b in e.clauses],
-                         span=e.span)
-        if isinstance(e, SetRef):
-            return SetRef(self.scrub(e.dest, env), self.scrub(e.index, env),
-                          self.scrub(e.value, env), span=e.span)
         if isinstance(e, Letrec):
             return Letrec(self.rewrite_group(e.group, env),
                           self.scrub(e.body, env), span=e.span)
-        return e
+        new = []
+        for _, c, _ in children(e):
+            new.append(self.scrub(c, env))
+        if isinstance(e, Call):
+            return Call(e.callee, new, frozenset(), span=e.span)
+        return with_children(e, new)
 
     # -- function-level transforms ----------------------------------------
 
     def rewrite_group(self, group: list[FunDef], outer: ScopeEnv) -> list[FunDef]:
+        """The direct version of every function of the group, each followed
+        by its DPS version when marked.  Each body is decomposed once.  A
+        nested group lies in the context of both versions of its enclosing
+        function; it is rewritten once and shared by the two."""
+
+        done = self.groups.get(id(group))
+        if done is not None and done[0] is outer:
+            return done[1]
         out: list[FunDef] = []
         for f in group:
             env = outer.enter(group, f)
-            out.append(self.transform_direct(f, env))
+            d = decompose_tmc(f.body, self.marks, env, frozenset(f.params))
+            reserved = (all_identifiers(f.body) | set(f.params)
+                        | set(self.marks.dps_name.values()))
+            body = self._ctx(d.context, d, None, CCtx(), env,
+                             FreshNamer(set(reserved)))
+            out.append(FunDef(f.name, list(f.params), body, frozenset(),
+                              span=f.span))
             if f.name in self.marks.marked:
-                out.append(self.transform_dps(f, env))
+                out.append(self._dps_fun(f, d, env, FreshNamer(set(reserved))))
+        self.groups[id(group)] = (outer, out)
         return out
 
-    def _decompose_body(self, f: FunDef, env: ScopeEnv) -> Decomposition:
-        return decompose_tmc(f.body, self.marks, env,
-                             frozenset(f.params))
-
-    def transform_dps(self, f: FunDef, env: ScopeEnv) -> FunDef:
-        d = self._decompose_body(f, env)
-        namer = FreshNamer()
-        namer.reserve(all_identifiers(f.body))
-        namer.reserve(f.params)
-        namer.reserve(self.marks.dps_name.values())
-        dst = "dst" if "dst" not in namer.used else namer.fresh("dst")
-        namer.used.add(dst)
-        idx = "idx" if "idx" not in namer.used else namer.fresh("idx")
-        namer.used.add(idx)
-        body = self._dps_ctx(d.context, d, Dest(dst, Var(idx)), CCtx(), env,
-                             namer, frozenset(f.params))
+    def _dps_fun(self, f: FunDef, d: Decomposition, env: ScopeEnv,
+                 namer: FreshNamer) -> FunDef:
+        dst = namer.fresh("dst") if "dst" in namer.used else "dst"
+        idx = namer.fresh("idx") if "idx" in namer.used else "idx"
+        namer.reserve((dst, idx))
+        body = self._ctx(d.context, d, Dest(dst, Var(idx)), CCtx(), env, namer)
         check_single_completion(body, self.marks)
         return FunDef(self.marks.dps_name[f.name], [dst, idx] + list(f.params),
                       body, frozenset(), span=f.span)
 
-    def transform_direct(self, f: FunDef, env: ScopeEnv) -> FunDef:
-        d = self._decompose_body(f, env)
-        namer = FreshNamer()
-        namer.reserve(all_identifiers(f.body))
-        namer.reserve(f.params)
-        namer.reserve(self.marks.dps_name.values())
-        body = self._direct_ctx(d.context, d, env, namer, frozenset(f.params))
-        return FunDef(f.name, list(f.params), body, frozenset(), span=f.span)
+    # -- context rewrite: direct and DPS versions ------------------------
 
-    # -- DPS context rewrite ----------------------------------------------
-
-    def _rewritable_call(self, e: Expr, env: ScopeEnv, scope: frozenset):
-        if (isinstance(e, Call) and e.callee in self.marks.marked
-                and e.callee not in scope and env.eligible(e.callee)):
-            return e
-        return None
-
-    def _reify(self, dest: Dest, cctx: CCtx, namer: FreshNamer, env: ScopeEnv,
+    def _reify(self, dest: Dest, cctx: CCtx, namer: FreshNamer,
                build_rest) -> Expr:
         """Materialize the delayed context: allocate the innermost layer
         with a Hole, write the whole nest into `dest`, continue with the
@@ -213,72 +191,76 @@ class _Rewriter:
         rest = build_rest(Dest(d2, Int(inner.hole_index)))
         return Let(d2, alloc, Seq(write, rest))
 
-    def _dps_ctx(self, node: Expr, d: Decomposition, dest: Dest, cctx: CCtx,
-                 env: ScopeEnv, namer: FreshNamer, scope: frozenset) -> Expr:
+    def _ctx(self, node: Expr, d: Decomposition, dest: Optional[Dest],
+             cctx: CCtx, env: ScopeEnv, namer: FreshNamer) -> Expr:
+        """Rewrite the context `node` of `d` into the direct version of its
+        function when `dest` is None, else into DPS code that writes the
+        result, wrapped in the delayed `cctx`, to `dest`."""
+
         if isinstance(node, DecompHole):
-            expr, _kind = d.holes[node.index]
-            call = self._rewritable_call(expr, env, scope)
-            if call is not None:
+            expr = d.holes[node.index][0]
+            if dest is None:
+                return self.scrub(expr, env)
+            if node.index in d.calls:
                 if cctx:
                     return self._reify(
-                        dest, cctx, namer, env,
-                        lambda dst2: self._dps_call(call, dst2, env))
-                return self._dps_call(call, dest, env)
+                        dest, cctx, namer,
+                        lambda dst2: self._dps_call(expr, dst2, env))
+                return self._dps_call(expr, dest, env)
             return dest.setref(cctx.plug(self.scrub(expr, env)))
-        if isinstance(node, Let):
-            return Let(node.binder, self.scrub(node.bound, env),
-                       self._dps_ctx(node.body, d, dest, cctx, env, namer,
-                                     scope | {node.binder}),
-                       span=node.span)
-        if isinstance(node, Seq):
-            return Seq(self.scrub(node.first, env),
-                       self._dps_ctx(node.second, d, dest, cctx, env, namer,
-                                     scope),
-                       span=node.span)
-        if isinstance(node, Letrec):
-            return Letrec(self.rewrite_group(node.group, env),
-                          self._dps_ctx(node.body, d, dest, cctx, env, namer,
-                                        scope),
-                          span=node.span)
-        if isinstance(node, Match):
-            if cctx and len(node.clauses) >= 2:
-                # A multi-branch match would duplicate the delayed context.
-                return self._reify(
-                    dest, cctx, namer, env,
-                    lambda dst2: self._dps_match(node, d, dst2, CCtx(), env,
-                                                 namer, scope))
-            return self._dps_match(node, d, dest, cctx, env, namer, scope)
         if isinstance(node, Constr):
-            return self._dps_constr(node, d, dest, cctx, env, namer, scope)
-        raise AssertionError(f"unexpected context node {node!r}")
+            if dest is None:
+                # The constructor rule: switch to DPS inside the allocation.
+                dvar, alloc, inner = self._open(node, d, env, namer)
+                return Let(dvar, alloc, Seq(inner, Var(dvar)))
+            return self._dps_constr(node, d, dest, cctx, env, namer)
+        if isinstance(node, Match) and cctx and len(node.clauses) >= 2:
+            # A multi-branch match would duplicate the delayed context.
+            return self._reify(
+                dest, cctx, namer,
+                lambda dst2: self._ctx(node, d, dst2, CCtx(), env, namer))
+        if isinstance(node, Letrec):
+            group = self.rewrite_group(node.group, env)
+            return Letrec(group, self._ctx(node.body, d, dest, cctx, env, namer),
+                          span=node.span)
+        tails = {label for label, *_ in tmc_children(node)}
+        new = []
+        for label, c, _ in children(node):
+            new.append(self._ctx(c, d, dest, cctx, env, namer) if label in tails
+                       else self.scrub(c, env))
+        return with_children(node, new)
 
-    def _dps_match(self, node: Match, d: Decomposition, dest: Dest, cctx: CCtx,
-                   env: ScopeEnv, namer: FreshNamer, scope: frozenset) -> Expr:
-        from .ir import pattern_vars
+    def _split(self, node: Constr, env: ScopeEnv):
+        """The index of the argument holding the context, and the scrubbed
+        arguments left and right of it."""
 
-        return Match(self.scrub(node.scrutinee, env),
-                     [(p, self._dps_ctx(b, d, dest, cctx, env, namer,
-                                        scope | set(pattern_vars(p))))
-                      for p, b in node.clauses],
-                     span=node.span)
+        j = next(i for i, a in enumerate(node.args) if _contains_hole(a))
+        return (j, [self.scrub(a, env) for a in node.args[:j]],
+                [self.scrub(a, env) for a in node.args[j + 1:]])
+
+    def _open(self, node: Constr, d: Decomposition, env: ScopeEnv,
+              namer: FreshNamer):
+        """Allocate `node` with a hole in the argument holding the context:
+        the block variable, the allocation, and that argument's DPS rewrite
+        into the hole."""
+
+        j, left, right = self._split(node, env)
+        dvar = namer.fresh("dst")
+        alloc = Constr(node.tag, left + [Hole()] + right, span=node.span)
+        return dvar, alloc, self._ctx(node.args[j], d, Dest(dvar, Int(j + 1)),
+                                      CCtx(), env, namer)
 
     def _dps_constr(self, node: Constr, d: Decomposition, dest: Dest,
-                    cctx: CCtx, env: ScopeEnv, namer: FreshNamer,
-                    scope: frozenset) -> Expr:
-        j = next(i for i, a in enumerate(node.args) if _contains_hole(a))
-        left_exprs = [self.scrub(a, env) for a in node.args[:j]]
-        right_exprs = [self.scrub(a, env) for a in node.args[j + 1:]]
+                    cctx: CCtx, env: ScopeEnv, namer: FreshNamer) -> Expr:
         if not self.compress:
             # Naive constructor rule: allocate and write immediately.
-            d2 = namer.fresh("dst")
-            alloc = Constr(node.tag, left_exprs + [Hole()] + right_exprs)
-            inner = self._dps_ctx(node.args[j], d, Dest(d2, Int(j + 1)),
-                                  CCtx(), env, namer, scope)
-            return Let(d2, alloc, Seq(dest.setref(Var(d2)), inner))
+            dvar, alloc, inner = self._open(node, d, env, namer)
+            return Let(dvar, alloc, Seq(dest.setref(Var(dvar)), inner))
+        j, left_exprs, right_exprs = self._split(node, env)
         binds: list[tuple[str, Expr]] = []
 
         def atom(e: Expr) -> Expr:
-            if _is_atomic(e):
+            if isinstance(e, (Var, Int)):
                 return e
             v = namer.fresh("y")
             binds.append((v, e))
@@ -287,8 +269,7 @@ class _Rewriter:
         left_atoms = tuple(atom(e) for e in left_exprs)
         right_atoms = tuple(atom(e) for e in right_exprs)
         layer = CLayer(node.tag, left_atoms, right_atoms)
-        out = self._dps_ctx(node.args[j], d, dest, cctx.extend(layer), env,
-                            namer, scope)
+        out = self._ctx(node.args[j], d, dest, cctx.extend(layer), env, namer)
         for v, e in reversed(binds):
             out = Let(v, e, out)
         return out
@@ -299,58 +280,12 @@ class _Rewriter:
                     + [self.scrub(a, env) for a in call.args],
                     frozenset(), span=call.span)
 
-    # -- direct context rewrite (the constructor rule switches to DPS) ----
-
-    def _direct_ctx(self, node: Expr, d: Decomposition, env: ScopeEnv,
-                    namer: FreshNamer, scope: frozenset) -> Expr:
-        from .ir import pattern_vars
-
-        if isinstance(node, DecompHole):
-            expr, _kind = d.holes[node.index]
-            return self.scrub(expr, env)
-        if isinstance(node, Let):
-            return Let(node.binder, self.scrub(node.bound, env),
-                       self._direct_ctx(node.body, d, env, namer,
-                                        scope | {node.binder}), span=node.span)
-        if isinstance(node, Seq):
-            return Seq(self.scrub(node.first, env),
-                       self._direct_ctx(node.second, d, env, namer, scope),
-                       span=node.span)
-        if isinstance(node, Letrec):
-            return Letrec(self.rewrite_group(node.group, env),
-                          self._direct_ctx(node.body, d, env, namer, scope),
-                          span=node.span)
-        if isinstance(node, Match):
-            return Match(self.scrub(node.scrutinee, env),
-                         [(p, self._direct_ctx(b, d, env, namer,
-                                               scope | set(pattern_vars(p))))
-                          for p, b in node.clauses],
-                         span=node.span)
-        if isinstance(node, Constr):
-            j = next(i for i, a in enumerate(node.args) if _contains_hole(a))
-            left = [self.scrub(a, env) for a in node.args[:j]]
-            right = [self.scrub(a, env) for a in node.args[j + 1:]]
-            dvar = namer.fresh("dst")
-            alloc = Constr(node.tag, left + [Hole()] + right, span=node.span)
-            inner = self._dps_ctx(node.args[j], d, Dest(dvar, Int(j + 1)),
-                                  CCtx(), env, namer, scope)
-            return Let(dvar, alloc, Seq(inner, Var(dvar)))
-        raise AssertionError(f"unexpected context node {node!r}")
-
-
 def _contains_hole(e: Expr) -> bool:
     if isinstance(e, DecompHole):
         return True
-    if isinstance(e, Let):
-        return _contains_hole(e.body)
-    if isinstance(e, Seq):
-        return _contains_hole(e.second)
-    if isinstance(e, Match):
-        return any(_contains_hole(b) for _, b in e.clauses)
-    if isinstance(e, Constr):
-        return any(_contains_hole(a) for a in e.args)
-    if isinstance(e, Letrec):
-        return _contains_hole(e.body)
+    for _, c, _, _ in tmc_children(e):
+        if _contains_hole(c):
+            return True
     return False
 
 
@@ -365,30 +300,17 @@ def check_single_completion(body: Expr, marks: MarkSet) -> None:
             return True
         if isinstance(e, Call):
             return e.callee in dps_names
-        if isinstance(e, Let):
-            return tail_leaf_ok(e.body)
-        if isinstance(e, Seq):
-            return tail_leaf_ok(e.second)
-        if isinstance(e, Match):
-            return all(tail_leaf_ok(b) for _, b in e.clauses)
-        if isinstance(e, Letrec):
-            return tail_leaf_ok(e.body)
-        return False
+        if not isinstance(e, (Let, Seq, Match, Letrec)):
+            return False
+        for _, c, _, _ in tmc_children(e):
+            if not tail_leaf_ok(c):
+                return False
+        return True
 
     if not tail_leaf_ok(body):
         raise AssertionError(
             "internal error: a control path of a DPS body does not end in a "
             "destination write or DPS call")
-
-
-def transform_dps(f: FunDef, marks: MarkSet, env: ScopeEnv,
-                  compress: bool = True) -> FunDef:
-    return _Rewriter(marks, compress).transform_dps(f, env)
-
-
-def transform_direct(f: FunDef, marks: MarkSet, env: ScopeEnv,
-                     compress: bool = True) -> FunDef:
-    return _Rewriter(marks, compress).transform_direct(f, env)
 
 
 def analyze_program(p: Program) -> tuple[MarkSet, list[Diagnostic]]:

@@ -4,6 +4,8 @@ import csv
 import subprocess
 import sys
 
+import pytest
+
 from tmc_forge.cli import main
 
 from conftest import CORPUS, FIXTURES, GOLDENS
@@ -67,6 +69,21 @@ class TestTransform:
         monkeypatch.setenv("TMC_FORGE_COLOR", "0")
         code, out, err = run_main(capsys, "transform",
                                   corpus("flatten_nested.tmc"))
+        assert code == 0
+        assert "WARNING UselessMark" in err
+
+    def test_useless_mark_sees_shadowing_parameter(self, tmp_path, capsys,
+                                                   monkeypatch):
+        # The parameter `f` shadows the function: the recursive-looking call
+        # goes through the binder, so no candidate remains.
+        monkeypatch.setenv("TMC_FORGE_COLOR", "0")
+        src = tmp_path / "shadow.tmc"
+        src.write_text(
+            "(program (letrec (fun (@ tail_mod_cons) f (f xs)"
+            " (match xs (case Nil (constr Nil))"
+            " (case (Cons x rest) (constr Cons x (call f f rest))))))"
+            " (main (int 0)))")
+        code, _, err = run_main(capsys, "transform", str(src))
         assert code == 0
         assert "WARNING UselessMark" in err
 
@@ -162,6 +179,41 @@ class TestBench:
             "--sizes", "10,2000", "--max-stack", "100")
         assert code == 0
         assert "StackLimit" in out
+
+    def test_size_placeholder_only_replaces_a_whole_size_field(
+            self, capsys, tmp_path):
+        src = tmp_path / "addn.tmc"
+        src.write_text(
+            "(program (letrec (fun addN (x) (call add x 1)))"
+            " (letrec (fun (@ tail_mod_cons) map (f xs)"
+            " (match xs (case Nil (constr Nil))"
+            " (case (Cons x rest) (constr Cons (call f x) (call map f rest))))))"
+            " (main (int 0)))")
+        code, out, _ = run_main(capsys, "bench", str(src), "--entry", "map",
+                                "--arg", "fun:addN", "--arg", "list:N",
+                                "--sizes", "3")
+        assert code == 0
+        # Read as `fun:add3`, the callee would be unbound and every cell an
+        # error code.
+        variant, size, _, allocations, dest_writes, _ = out.splitlines()[1].split()
+        assert (variant, size, allocations, dest_writes) == ("map", "3", "4", "3")
+
+
+@pytest.mark.parametrize("argv", [
+    ("run", "map.tmc", "--entry", "map", "--arg", "fun:add1", "--arg", "lst:3"),
+    ("diff", "map.tmc", "--entry", "map", "--arg", "fun:add1", "--arg", "lst:3"),
+    ("bench", "map_variants.tmc", "--entry", "map", "--arg", "fun:add1",
+     "--arg", "lst:3"),
+    ("bench", "map_variants.tmc", "--entry", "map", "--arg", "fun:add1",
+     "--arg", "list:N", "--sizes", "10,bogus"),
+])
+def test_bad_input_spec_is_a_one_line_usage_error(argv, capsys):
+    cmd, name, *rest = argv
+    code, out, err = run_main(capsys, cmd, corpus(name), *rest)
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("usage error: ")
+
 
 def test_console_script_help():
     proc = subprocess.run(

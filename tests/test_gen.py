@@ -5,6 +5,7 @@ import pytest
 from tmc_forge.gen import (
     BadSpec,
     Lcg,
+    at_size,
     gen_cmm_then_chain,
     gen_cmmlike,
     gen_value,
@@ -87,6 +88,14 @@ class TestSpecs:
 
     def test_determinism(self):
         assert gen_value("tree:6", Lcg(9)) == gen_value("tree:6", Lcg(9))
+
+    @pytest.mark.parametrize("spec, want", [
+        ("list:N", "list:12"), ("tree:N", "tree:12"),
+        ("listof:Nx5", "listof:12x5"), ("listof:NxN", "listof:12x12"),
+        ("list:3", "list:3"), ("fun:addN", "fun:addN"), ("N", "N"),
+    ])
+    def test_at_size_replaces_whole_size_fields_only(self, spec, want):
+        assert at_size(spec, 12) == want
 
 
 def chain_len(t: LBlock) -> int:

@@ -15,6 +15,7 @@ from tmc_forge.ir import (
     Seq,
     SetRef,
     iter_fundefs,
+    well_formed,
 )
 from tmc_forge.surface import parse_program, print_program
 from tmc_forge.transform import (
@@ -169,14 +170,60 @@ class TestErrorsAndDeterminism:
         assert a == b
 
     def test_transformed_program_is_well_formed(self):
-        from tmc_forge.ir import well_formed
         for name in ("map.tmc", "merge.tmc", "umap.tmc", "flatten_nested.tmc",
                      "map_tail.tmc", "map_variants.tmc"):
             assert well_formed(transform_program(load(name))) == [], name
 
+    def test_each_function_is_decomposed_once(self, monkeypatch):
+        # flatten_nested's local group sits in the context of both versions
+        # of `flatten`; it is still decomposed only once.
+        from tmc_forge import transform
+        seen = []
+
+        def counting(body, *args):
+            seen.append(body)
+            return decompose(body, *args)
+
+        decompose = transform.decompose_tmc
+        monkeypatch.setattr(transform, "decompose_tmc", counting)
+        p = load("flatten_nested.tmc")
+        transform_program(p)
+        assert sorted(map(id, seen)) == sorted(id(f.body)
+                                               for f in iter_fundefs(p))
+
     def test_transform_output_round_trips_through_printer(self):
         t = transform_program(load("flatten_mutual.tmc"))
         assert parse_program(print_program(t)) == t
+
+    def test_deep_let_seq_match_chain_under_default_recursion_limit(self):
+        # A marked map whose Cons case is 300 nested let/seq/match layers
+        # (a third of each, interleaved) with the recursive call at the
+        # bottom: the rewrite recurses about one frame per layer.
+        var, opens, closes = "x", [], []
+        for i in range(300):
+            if i % 3 == 0:
+                opens.append(f"(let v{i} (call add {var} {i % 10}) ")
+                closes.append(")")
+                var = f"v{i}"
+            elif i % 3 == 1:
+                opens.append(f"(seq (call add1 {var}) ")
+                closes.append(")")
+            else:
+                opens.append(f"(match {var} (case {i} (constr Nil)) (case v{i} ")
+                closes.append("))")
+                var = f"v{i}"
+        body = ("".join(opens) + f"(constr Cons {var} (call f rest))"
+                + "".join(reversed(closes)))
+        src = ("(program (letrec (fun (@ tail_mod_cons) f (xs) (match xs "
+               f"(case Nil (constr Nil)) (case (Cons x rest) {body}))))"
+               " (main (int 0)))")
+        t = transform_program(parse_program(src))
+        assert set(fundefs(t)) == {"f", "f_dps"}
+        assert well_formed(t) == []
+        # Compared as text: dataclass equality of trees this deep would
+        # itself exceed the recursion limit.
+        text = print_program(t)
+        assert print_program(parse_program(text)) == text
 
 
 class TestFreshNamer:
