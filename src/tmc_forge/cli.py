@@ -18,7 +18,6 @@ from .runtime import (
     DEFAULT_MAX_STACK,
     DEFAULT_MAX_STEPS,
     TmcRuntimeError,
-    _in_big_stack_thread,
     eval_program,
 )
 from .surface import ParseError, parse_program, print_program
@@ -139,30 +138,19 @@ def _bench_table(rows: list[BenchRow]) -> str:
 
 
 def cmd_parse(args) -> int:
-    try:
-        p = _load(args.file)
-    except ParseError as exc:
-        print(f"ERROR ParseError {args.file}:{exc}", file=sys.stderr)
-        return 1
+    p = _load(args.file)
     out = print_program(p)
     _write_out(args, out)
     return 0
 
 
 def cmd_transform(args) -> int:
-    try:
-        p = _load(args.file)
-    except ParseError as exc:
-        print(f"ERROR ParseError {args.file}:{exc}", file=sys.stderr)
+    p = _load(args.file)
+    _, diags = analyze_program(p)
+    _emit_diags(diags, args.file)
+    if any(d.severity == "Error" for d in diags):
         return 1
-    try:
-        _, diags = analyze_program(p)
-        _emit_diags(diags, args.file)
-        out = transform_program(p)
-    except TransformError as exc:
-        _emit_diags(exc.diagnostics, args.file)
-        return 1
-    _write_out(args, print_program(out))
+    _write_out(args, print_program(transform_program(p)))
     return 0
 
 
@@ -175,47 +163,23 @@ def _write_out(args, text: str) -> None:
 
 
 def cmd_run(args) -> int:
-    try:
-        p = _load(args.file)
-    except ParseError as exc:
-        print(f"ERROR ParseError {args.file}:{exc}", file=sys.stderr)
-        return 1
+    p = _load(args.file)
     if args.transform:
-        try:
-            p = transform_program(p)
-        except TransformError as exc:
-            _emit_diags(exc.diagnostics, args.file)
-            return 1
+        p = transform_program(p)
     rng = Lcg(args.seed)
     vals = [gen_value(s, rng) for s in args.arg]
-    try:
-        value, metrics, interp = eval_program(p, args.entry, vals,
-                                              args.max_stack, args.max_steps)
-        rendered = _in_big_stack_thread(lambda: interp.render(value))
-    except TmcRuntimeError as exc:
-        print(f"ERROR {exc.code} {exc}", file=sys.stderr)
-        return 2
-    print(rendered)
+    value, metrics, interp = eval_program(p, args.entry, vals,
+                                          args.max_stack, args.max_steps)
+    print(interp.render(value))
     if args.metrics:
         print(metrics.render())
     return 0
 
 
 def cmd_diff(args) -> int:
-    try:
-        p = _load(args.file)
-    except ParseError as exc:
-        print(f"ERROR ParseError {args.file}:{exc}", file=sys.stderr)
-        return 1
-    try:
-        report = run_diff(p, args.entry, args.arg, args.trials, args.seed,
-                          args.max_stack, args.max_steps)
-    except TransformError as exc:
-        _emit_diags(exc.diagnostics, args.file)
-        return 1
-    except TmcRuntimeError as exc:
-        print(f"ERROR {exc.code} {exc}", file=sys.stderr)
-        return 2
+    p = _load(args.file)
+    report = run_diff(p, args.entry, args.arg, args.trials, args.seed,
+                      args.max_stack, args.max_steps)
     print(f"entry={report.entry} trials={report.trials} "
           f"failures={len(report.failures)} "
           f"trace_divergences={len(report.trace_divergences)}")
@@ -227,21 +191,13 @@ def cmd_diff(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    try:
-        p = _load(args.file)
-    except ParseError as exc:
-        print(f"ERROR ParseError {args.file}:{exc}", file=sys.stderr)
-        return 1
+    p = _load(args.file)
     try:
         sizes = [int(s) for s in args.sizes.split(",") if s]
     except ValueError:
         raise BadSpec(f"bad --sizes value {args.sizes!r}") from None
-    try:
-        rows = run_bench(p, args.entry, sizes, args.arg, args.seed,
-                         args.max_stack, args.max_steps)
-    except TransformError as exc:
-        _emit_diags(exc.diagnostics, args.file)
-        return 1
+    rows = run_bench(p, args.entry, sizes, args.arg, args.seed,
+                     args.max_stack, args.max_steps)
     print(_bench_table(rows))
     if args.csv:
         with open(args.csv, "w", newline="", encoding="utf-8") as fh:
@@ -311,9 +267,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command; every documented failure becomes one diagnostic
+    line (several for a rejected transformation) and its exit code."""
+
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
+    except ParseError as exc:
+        print(f"ERROR ParseError {args.file}:{exc}", file=sys.stderr)
+        return 1
+    except TransformError as exc:
+        _emit_diags(exc.diagnostics, args.file)
+        return 1
+    except TmcRuntimeError as exc:
+        print(f"ERROR {exc.code} {exc}", file=sys.stderr)
+        return 2
     except BadSpec as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

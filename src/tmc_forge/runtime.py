@@ -1,24 +1,30 @@
-"""Instrumented tree-walking evaluator.
+"""Instrumented evaluator: an explicit-stack machine compiled once per program.
 
 Call-by-value, left-to-right, with proper tail calls (frame reuse),
 a mutable-block store with Hole values and single-write initialization,
 and metrics: stack depth, allocations, destination writes, effect trace,
 step count.  This is the oracle for every equivalence and stack claim.
+
+Each Program is compiled once into flat code per function: value variables
+become registers of the activation, callees become function entries and
+tail positions are marked.  One loop runs that code with an explicit
+continuation stack whose frames are function activations, so
+`max_stack_depth` counts exactly those frames and `max_stack` is the only
+stack limit.  Neither the machine nor any value walker recurses on the
+host stack.
 """
 
 from __future__ import annotations
 
-import sys
-import threading
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from operator import itemgetter
+from typing import Union
 
 from .ir import (
     BUILTINS,
     Call,
     Constr,
     Expr,
-    FunDef,
     Hole,
     Int,
     Let,
@@ -103,13 +109,8 @@ class Metrics:
         ])
 
 
-class _TailInvoke:
-    __slots__ = ("fn", "fenv", "args")
-
-    def __init__(self, fn, fenv, args):
-        self.fn = fn
-        self.fenv = fenv
-        self.args = args
+def _cyclic() -> TmcRuntimeError:
+    return TmcRuntimeError("CyclicValue", "value reaches itself through a field")
 
 
 # ---------------------------------------------------------------------------
@@ -127,15 +128,47 @@ class LFun:
     name: str
 
 
+_CLOSE = object()  # end of a block in the walkers' explicit stacks
+
+
 @dataclass(frozen=True)
 class LBlock:
     tag: str
     args: tuple
 
+    def __eq__(self, other):
+        if other.__class__ is not LBlock:
+            return NotImplemented
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a is b:
+                continue
+            if a.tag != b.tag or len(a.args) != len(b.args):
+                return False
+            for x, y in zip(a.args, b.args):
+                if x.__class__ is LBlock and y.__class__ is LBlock:
+                    stack.append((x, y))
+                elif x != y:
+                    return False
+        return True
+
     def __repr__(self):
-        if not self.args:
-            return self.tag
-        return "(" + " ".join([self.tag] + [repr(a) for a in self.args]) + ")"
+        # Every item is written with a leading space, dropped at the end.
+        parts, stack = [], [self]
+        while stack:
+            x = stack.pop()
+            if x is _CLOSE:
+                parts.append(")")
+            elif x.__class__ is not LBlock:
+                parts.append(" " + repr(x))
+            elif not x.args:
+                parts.append(" " + x.tag)
+            else:
+                parts.append(" (" + x.tag)
+                stack.append(_CLOSE)
+                stack.extend(reversed(x.args))
+        return "".join(parts)[1:]
 
 
 Lit = Union[LInt, LFun, LBlock]
@@ -149,6 +182,218 @@ def list_lit(items) -> LBlock:
     return out
 
 
+# ---------------------------------------------------------------------------
+# Compilation: one flat code list per function
+#
+# An instruction is a 7-tuple (op, pre, a, b, c, d, e).  `pre` counts the
+# expression nodes whose evaluation starts (one step each) after the previous
+# instruction's effect and before this one's: variables and constants have
+# no instruction, so their steps ride on the next one.  Operand lists are
+# itemgetters over the activation's registers.  A destination of RET
+# returns the value from the activation; for a call it marks a tail call.
+# ---------------------------------------------------------------------------
+
+CALL, DYNCALL, BUILTIN, ALLOC, MATCH, SETREF, MOVE, JUMP, RETURN, FAIL = range(10)
+RET = -1
+
+
+class _Fn:
+    """A compiled function.  An activation's registers are its arguments
+    followed by a copy of `regs`: constants, binders and temporaries, the
+    last two None until written."""
+
+    __slots__ = ("name", "nparams", "code", "regs")
+
+    def __init__(self, name: str, nparams: int):
+        self.name, self.nparams = name, nparams
+        self.code: list[tuple] = []
+        self.regs: list = []
+
+
+class Compiled:
+    """A program's toplevel functions by name, and main."""
+
+    def __init__(self, program: Program):
+        self.functions: dict[str, _Fn] = {}
+        todo = []  # (entry, definition, function scope), nested groups too
+        for group in program.groups:
+            for f in group:
+                self.functions[f.name] = fn = _Fn(f.name, len(f.params))
+                todo.append((fn, f, self.functions))
+        self.main = _Fn("main", 0)
+        _Compiler(self.main, [], False, todo).run(program.main, self.functions)
+        while todo:
+            fn, f, fscope = todo.pop()
+            _Compiler(fn, f.params, True, todo).run(f.body, fscope)
+
+
+def compile_program(program: Program) -> Compiled:
+    """The program's compiled form, built on first use and kept on the
+    Program object (trees are immutable by convention)."""
+
+    compiled = program.__dict__.get("_compiled")
+    if compiled is None:
+        compiled = program.__dict__["_compiled"] = Compiled(program)
+    return compiled
+
+
+def _operands(regs: list[int]):
+    if len(regs) == 1:  # itemgetter of one index returns the bare item
+        return itemgetter(slice(regs[0], regs[0] + 1))
+    return itemgetter(*regs) if regs else itemgetter(slice(0, 0))
+
+
+class _Compiler:
+    """Compiles one function body.  `expr` is written as a recursive
+    generator, but `run` drives it with an explicit stack: a generator
+    yields (expression, scope, function scope, dst) for a subexpression
+    and is sent the register that holds the subexpression's value."""
+
+    def __init__(self, fn: _Fn, params: list[str], tail: bool, todo: list):
+        self.fn, self.code, self.tail, self.todo = fn, fn.code, tail, todo
+        self.params = {p: i for i, p in enumerate(params)}  # the last wins
+        self.nregs = len(params)
+        self.consts: dict = {}
+        self.pending = 0  # steps not yet attached to an instruction
+
+    def run(self, body: Expr, fscope: dict) -> None:
+        stack = [self.expr(body, self.params, fscope, RET)]
+        reg = None
+        while stack:
+            try:
+                sub = stack[-1].send(reg)
+            except StopIteration as done:
+                stack.pop()
+                reg = done.value
+            else:
+                stack.append(self.expr(*sub))
+                reg = None
+
+    def reg(self, value=None) -> int:
+        self.fn.regs.append(value)
+        self.nregs += 1
+        return self.nregs - 1
+
+    def emit(self, op, a=None, b=None, c=None, d=None, e=None) -> int:
+        self.code.append((op, self.pending, a, b, c, d, e))
+        self.pending = 0
+        return len(self.code) - 1
+
+    def expr(self, e: Expr, scope: dict, fscope: dict, dst):
+        """Compile e to leave its value in register dst, or in any register
+        when dst is None, or to return it when dst is RET.  Returns the
+        register."""
+
+        self.pending += 1
+        t = type(e)
+        if t in (Var, Int, Hole):
+            if t is Var and e.name in scope:
+                r = scope[e.name]
+            elif t is Var and e.name not in fscope and e.name not in BUILTINS:
+                self.emit(FAIL, "UnboundName", e.name)
+                return self.reg()  # never read
+            else:
+                v = VInt(e.n) if t is Int else VFun(e.name) if t is Var else VHOLE
+                if v not in self.consts:
+                    self.consts[v] = self.reg(v)
+                r = self.consts[v]
+            if dst is None:
+                return r
+            if dst >= 0:
+                self.emit(MOVE, r, None, dst)
+            else:
+                self.emit(RETURN, r)
+            return dst
+        if t is Let:
+            r = yield e.bound, scope, fscope, None
+            return (yield e.body, {**scope, e.binder: r}, fscope, dst)
+        if t is Seq:
+            yield e.first, scope, fscope, None
+            return (yield e.second, scope, fscope, dst)
+        if t is Letrec:
+            inner = dict(fscope)
+            for f in e.group:
+                inner[f.name] = fn = _Fn(f.name, len(f.params))
+                self.todo.append((fn, f, inner))
+            return (yield e.body, scope, inner, dst)
+        if dst is None:
+            dst = self.reg()
+        if t is Match:
+            r = yield e.scrutinee, scope, fscope, None
+            at = self.emit(MATCH)
+            clauses, jumps = [], []
+            for j, (pat, body) in enumerate(e.clauses):
+                clause, binds = self.pattern(pat)
+                clauses.append((*clause, len(self.code)))
+                yield body, {**scope, **binds}, fscope, dst
+                if dst >= 0 and j < len(e.clauses) - 1:
+                    jumps.append(self.emit(JUMP))
+            self.code[at] = (MATCH, self.code[at][1], r, tuple(clauses), *(None,) * 3)
+            for j in jumps:  # to the end of the match
+                self.code[j] = (JUMP, self.code[j][1], len(self.code), *(None,) * 4)
+            return dst
+        if t not in (Call, Constr, SetRef):
+            raise TypeError(f"cannot evaluate {e!r}")
+        regs = []
+        for a in ([e.dest, e.index, e.value] if t is SetRef else e.args):
+            regs.append((yield a, scope, fscope, None))
+        if t is Constr:
+            self.emit(ALLOC, e.tag, _operands(regs), dst)
+        elif t is SetRef:
+            self.emit(SETREF, *regs, dst)
+        else:
+            out = self.reg() if dst == RET and not self.tail else dst
+            args = _operands(regs)
+            if e.callee in scope:
+                self.emit(DYNCALL, scope[e.callee], args, out, fscope, e.callee)
+            elif e.callee in fscope:
+                self.emit(CALL, fscope[e.callee], args, out)
+            elif e.callee in BUILTINS:
+                self.emit(BUILTIN, e.callee, args, out)
+            else:
+                self.emit(FAIL, "UnboundName", e.callee)
+            if out != dst:
+                self.emit(RETURN, out)
+        return dst
+
+    def pattern(self, pat: Pattern) -> tuple[tuple, dict[str, int]]:
+        """A clause's (tag, arity, lo, hi) for a constructor of variables and
+        wildcards, which binds registers lo..hi to its fields, or
+        (nodes, -1, 0, 0) for Interp._match_nodes; and the registers of the
+        names it binds (the last of a repeated name wins)."""
+
+        binds: dict[str, int] = {}
+        subs = pat.subpatterns if type(pat) is PConstr else None
+        if subs is not None and all(type(s) in (PVar, PWild) for s in subs):
+            lo = self.nregs
+            for s in subs:
+                r = self.reg()
+                if type(s) is PVar:
+                    binds[s.name] = r
+            return (pat.tag, len(subs), lo, self.nregs), binds
+        # Pre-order (kind, parent node, field, payload): the order in which
+        # a recursive matcher tests the subpatterns.
+        nodes: list[tuple] = []
+        work = [(pat, -1, 0)]
+        while work:
+            p, parent, j = work.pop()
+            if type(p) is PVar:
+                binds[p.name] = r = self.reg()
+                nodes.append((PVar, parent, j, r))
+            elif type(p) is PConstr:
+                nodes.append((PConstr, parent, j, (p.tag, len(p.subpatterns))))
+                work.extend((s, len(nodes) - 1, i) for i, s in
+                            reversed(list(enumerate(p.subpatterns))))
+            else:
+                nodes.append((type(p), parent, j, getattr(p, "n", None)))
+        return (tuple(nodes), -1, 0, 0), binds
+
+
+# ---------------------------------------------------------------------------
+# The machine
+# ---------------------------------------------------------------------------
+
+
 class Interp:
     """One evaluation owns one store; not shared across runs."""
 
@@ -157,15 +402,9 @@ class Interp:
         self.program = program
         self.max_stack = max_stack
         self.max_steps = max_steps
-        self.blocks: dict[int, Block] = {}
-        self.next_addr = 0
+        self.blocks: list[Block] = []  # indexed by address
         self.metrics = Metrics()
-        self._count_allocs = True
-        fenv: dict[str, tuple] = {}
-        for group in program.groups:
-            for f in group:
-                fenv[f.name] = (f, fenv)
-        self.fenv = fenv
+        self.compiled = compile_program(program)
         # Shared result blocks for setref/leq/eq; only Constr expressions
         # and tuple-returning builtins count as allocations.
         self._count_allocs = False
@@ -177,15 +416,10 @@ class Interp:
     # -- store ------------------------------------------------------------
 
     def alloc(self, tag: str, values: list) -> VBlock:
-        addr = self.next_addr
-        self.next_addr += 1
-        self.blocks[addr] = Block(tag, values)
+        self.blocks.append(Block(tag, values))
         if self._count_allocs:
             self.metrics.allocations += 1
-        return VBlock(addr)
-
-    def block(self, v: VBlock) -> Block:
-        return self.blocks[v.addr]
+        return VBlock(len(self.blocks) - 1)
 
     def set_field(self, dest: VBlock, index: int, v: Value) -> None:
         blk = self.blocks[dest.addr]
@@ -203,33 +437,25 @@ class Interp:
     def instantiate(self, lit: Lit) -> Value:
         """Build an input value without counting its allocations."""
 
-        prev = self._count_allocs
-        self._count_allocs = False
-        try:
-            return self._inst(lit)
-        finally:
-            self._count_allocs = prev
-
-    def _inst(self, lit: Lit) -> Value:
-        if isinstance(lit, LInt):
-            return VInt(lit.n)
-        if isinstance(lit, LFun):
-            return VFun(lit.name)
-        # Iterative to handle long lists.
-        root: list = [None]
-        stack = [(lit, root, 0)]
+        blocks = self.blocks
+        root = [lit]
+        stack = [(root, 0)]  # literal blocks still to build, by where they go
         while stack:
-            node, out, i = stack.pop()
-            if isinstance(node, LInt):
-                out[i] = VInt(node.n)
-            elif isinstance(node, LFun):
-                out[i] = VFun(node.name)
+            out, i = stack.pop()
+            x = out[i]
+            if x.__class__ is LInt:
+                out[i] = VInt(x.n)
+            elif x.__class__ is LFun:
+                out[i] = VFun(x.name)
             else:
-                fields = [None] * len(node.args)
-                out[i] = self.alloc(node.tag, fields)
-                fields_list = self.blocks[out[i].addr].fields
-                for j, a in enumerate(node.args):
-                    stack.append((a, fields_list, j))
+                fields = list(x.args)
+                blocks.append(Block(x.tag, fields))
+                out[i] = VBlock(len(blocks) - 1)
+                for j, a in enumerate(fields):
+                    if a.__class__ is LInt:
+                        fields[j] = VInt(a.n)
+                    else:
+                        stack.append((fields, j))
         return root[0]
 
     # -- evaluation -------------------------------------------------------
@@ -239,19 +465,18 @@ class Interp:
 
         vals = [a if isinstance(a, (VInt, VBlock, VFun, _VHole))
                 else self.instantiate(a) for a in args]
-        if entry == "main" and "main" not in self.fenv:
-            if vals:
-                raise TmcRuntimeError(
-                    "ArityMismatch", "main takes 0 arguments, got "
-                    f"{len(vals)}")
-            result = self._eval(self.program.main, {}, self.fenv, 1, False)
-        elif entry in self.fenv:
-            fn, fenv = self.fenv[entry]
-            if len(fn.params) != len(vals):
+        main = self.compiled.main
+        fn = self.compiled.functions.get(entry, main if entry == "main" else None)
+        if fn is not None:
+            if fn.nparams != len(vals):
                 raise TmcRuntimeError(
                     "ArityMismatch",
-                    f"{entry} takes {len(fn.params)} arguments, got {len(vals)}")
-            result = self._call_function(fn, fenv, vals, 1)
+                    f"{entry} takes {fn.nparams} arguments, got {len(vals)}")
+            if fn is not main:  # main's body runs at depth 1 outside any function
+                self.metrics.max_stack_depth = max(self.metrics.max_stack_depth, 1)
+                if self.max_stack < 1:
+                    raise TmcRuntimeError("StackLimit", "depth 1")
+            result = self._run(fn, vals)
         elif entry in BUILTINS:
             result = self._builtin(entry, vals)
         else:
@@ -260,178 +485,188 @@ class Interp:
             self.assert_no_holes(result)
         return result
 
-    def _call_function(self, fn: FunDef, fenv, args: list, depth: int) -> Value:
-        while True:
-            if depth > self.metrics.max_stack_depth:
-                self.metrics.max_stack_depth = depth
-            if depth > self.max_stack:
-                raise TmcRuntimeError("StackLimit", f"depth {depth}")
-            env = dict(zip(fn.params, args))
-            r = self._eval(fn.body, env, fenv, depth, True)
-            if type(r) is _TailInvoke:
-                fn, fenv, args = r.fn, r.fenv, r.args
-                continue
-            return r
+    def _run(self, fn: _Fn, args: list) -> Value:
+        """Run fn's code on a fresh activation at depth 1 until it returns."""
 
-    def _eval(self, e: Expr, env: dict, fenv: dict, depth: int, tail: bool):
         m = self.metrics
-        m.steps += 1
-        if m.steps > self.max_steps:
-            raise TmcRuntimeError("StepLimit", f"{m.steps} steps")
-        t = type(e)
-        if t is Var:
-            try:
-                return env[e.name]
-            except KeyError:
-                pass
-            if e.name in fenv or e.name in BUILTINS:
-                return VFun(e.name)
-            raise TmcRuntimeError("UnboundName", e.name)
-        if t is Int:
-            return VInt(e.n)
-        if t is Call:
-            vals = [self._unwrap(self._eval(a, env, fenv, depth, False))
-                    for a in e.args]
-            name = e.callee
-            target = env.get(name)
-            if target is not None:
-                if not isinstance(target, VFun):
-                    raise TmcRuntimeError("NotAFunction", name)
-                name = target.name
-            ent = fenv.get(name)
-            if ent is not None:
-                fn, def_fenv = ent
-                if len(fn.params) != len(vals):
-                    raise TmcRuntimeError(
-                        "ArityMismatch",
-                        f"{name} takes {len(fn.params)} arguments, got {len(vals)}")
-                if tail:
-                    return _TailInvoke(fn, def_fenv, vals)
-                return self._call_function(fn, def_fenv, vals, depth + 1)
-            if name in BUILTINS:
-                return self._builtin(name, vals)
-            raise TmcRuntimeError("UnboundName", name)
-        if t is Let:
-            v = self._unwrap(self._eval(e.bound, env, fenv, depth, False))
-            env2 = dict(env)
-            env2[e.binder] = v
-            return self._eval(e.body, env2, fenv, depth, tail)
-        if t is Seq:
-            self._unwrap(self._eval(e.first, env, fenv, depth, False))
-            return self._eval(e.second, env, fenv, depth, tail)
-        if t is Constr:
-            vals = [self._unwrap(self._eval(a, env, fenv, depth, False))
-                    for a in e.args]
-            return self.alloc(e.tag, vals)
-        if t is Match:
-            scrut = self._unwrap(self._eval(e.scrutinee, env, fenv, depth, False))
-            for pat, body in e.clauses:
-                binds: dict = {}
-                if self._match(pat, scrut, binds):
-                    if binds:
-                        env2 = dict(env)
-                        env2.update(binds)
+        blocks = self.blocks
+        unit = self._unit
+        max_steps, max_stack = self.max_steps, self.max_stack
+        steps, depth_seen, allocs = m.steps, m.max_stack_depth, 0
+        konts: list[tuple] = []  # suspended callers: (code, pc, regs, dst)
+        code, pc, regs = fn.code, 0, args + fn.regs
+        try:
+            while True:
+                op, pre, a, b, c, d, e = code[pc]
+                pc += 1
+                steps += pre
+                if steps > max_steps:
+                    # The first of these node starts beyond the limit.
+                    steps = max(steps - pre, max_steps) + 1
+                    raise TmcRuntimeError("StepLimit", f"{steps} steps")
+                if op is DYNCALL:
+                    f = regs[a]
+                    if f.__class__ is not VFun:
+                        raise TmcRuntimeError("NotAFunction", e)
+                    a = d.get(f.name)
+                    if a is not None:
+                        op = CALL
+                    elif f.name in BUILTINS:
+                        a, op = f.name, BUILTIN
                     else:
-                        env2 = env
-                    return self._eval(body, env2, fenv, depth, tail)
-            raise TmcRuntimeError("MatchFailure", f"no clause matched {self.render(scrut)}")
-        if t is SetRef:
-            dest = self._unwrap(self._eval(e.dest, env, fenv, depth, False))
-            idx = self._unwrap(self._eval(e.index, env, fenv, depth, False))
-            val = self._unwrap(self._eval(e.value, env, fenv, depth, False))
-            if not isinstance(dest, VBlock):
-                raise TmcRuntimeError("TypeError", "setref destination is not a block")
-            if not isinstance(idx, VInt):
-                raise TmcRuntimeError("TypeError", "setref index is not an integer")
-            self.set_field(dest, idx.n, val)
-            return self._unit
-        if t is Hole:
-            return VHOLE
-        if t is Letrec:
-            fenv2 = dict(fenv)
-            for f in e.group:
-                fenv2[f.name] = (f, fenv2)
-            return self._eval(e.body, env, fenv2, depth, tail)
-        raise TypeError(f"cannot evaluate {e!r}")
+                        raise TmcRuntimeError("UnboundName", f.name)
+                if op is CALL:
+                    vals = b(regs)
+                    if len(vals) != a.nparams:
+                        raise TmcRuntimeError(
+                            "ArityMismatch", f"{a.name} takes {a.nparams} "
+                            f"arguments, got {len(vals)}")
+                    if c != RET:
+                        konts.append((code, pc, regs, c))
+                        depth = len(konts) + 1
+                        if depth > depth_seen:
+                            depth_seen = depth
+                        if depth > max_stack:
+                            raise TmcRuntimeError("StackLimit", f"depth {depth}")
+                    code, pc, regs = a.code, 0, [*vals, *a.regs]
+                    continue
+                if op is MATCH:
+                    v = regs[a]
+                    for tag, n, lo, hi, target in b:
+                        if n < 0:
+                            if not self._match_nodes(tag, v, regs):
+                                continue
+                        elif v is VHOLE:
+                            raise TmcRuntimeError("HoleInspected",
+                                                  "pattern match on a hole")
+                        elif v.__class__ is not VBlock:
+                            continue
+                        else:
+                            blk = blocks[v.addr]
+                            if blk.tag != tag or len(blk.fields) != n:
+                                continue
+                            regs[lo:hi] = blk.fields
+                        pc = target
+                        break
+                    else:
+                        raise TmcRuntimeError(
+                            "MatchFailure", f"no clause matched {self.render(v)}")
+                    continue
+                if op is ALLOC:
+                    blocks.append(Block(a, [*b(regs)]))
+                    allocs += 1
+                    v = VBlock(len(blocks) - 1)
+                elif op is BUILTIN:
+                    v = self._builtin(a, b(regs))
+                elif op is SETREF:
+                    dest, idx = regs[a], regs[b]
+                    if dest.__class__ is not VBlock:
+                        raise TmcRuntimeError("TypeError",
+                                              "setref destination is not a block")
+                    if idx.__class__ is not VInt:
+                        raise TmcRuntimeError("TypeError",
+                                              "setref index is not an integer")
+                    self.set_field(dest, idx.n, regs[c])
+                    v = unit
+                    c = d
+                elif op is MOVE:
+                    regs[c] = regs[a]
+                    continue
+                elif op is JUMP:
+                    pc = a
+                    continue
+                elif op is RETURN:
+                    v = regs[a]
+                    c = RET
+                else:  # FAIL
+                    raise TmcRuntimeError(a, b)
+                if c != RET:
+                    regs[c] = v
+                    continue
+                if not konts:
+                    return v
+                code, pc, regs, c = konts.pop()
+                regs[c] = v
+        finally:
+            m.steps, m.max_stack_depth = steps, depth_seen
+            m.allocations += allocs
 
-    def _unwrap(self, r):
-        # Tail signals never escape: _eval only produces them with tail=True.
-        assert type(r) is not _TailInvoke
-        return r
+    def _match_nodes(self, nodes: tuple, v: Value, regs: list) -> bool:
+        """Match a pattern flattened by _Compiler.pattern, binding into regs."""
 
-    def _match(self, pat: Pattern, v: Value, binds: dict) -> bool:
-        t = type(pat)
-        if t is PVar:
-            binds[pat.name] = v
-            return True
-        if t is PWild:
-            return True
-        if v is VHOLE:
-            raise TmcRuntimeError("HoleInspected", "pattern match on a hole")
-        if t is PInt:
-            return isinstance(v, VInt) and v.n == pat.n
-        if t is PConstr:
-            if not isinstance(v, VBlock):
-                return False
-            blk = self.blocks[v.addr]
-            if blk.tag != pat.tag or len(blk.fields) != len(pat.subpatterns):
-                return False
-            for sp, fv in zip(pat.subpatterns, blk.fields):
-                if not self._match(sp, fv, binds):
+        fields = [None] * len(nodes)  # the fields of each matched constructor
+        for k, (kind, parent, j, x) in enumerate(nodes):
+            if parent >= 0:
+                v = fields[parent][j]
+            if kind is PVar:
+                regs[x] = v
+            elif kind is PWild:
+                pass
+            elif v is VHOLE:
+                raise TmcRuntimeError("HoleInspected", "pattern match on a hole")
+            elif kind is PInt:
+                if not (v.__class__ is VInt and v.n == x):
                     return False
-            return True
-        raise TypeError(f"unknown pattern {pat!r}")
+            elif kind is PConstr and v.__class__ is VBlock:
+                blk = self.blocks[v.addr]
+                if blk.tag != x[0] or len(blk.fields) != x[1]:
+                    return False
+                fields[k] = blk.fields
+            else:
+                return False
+        return True
 
-    def _builtin(self, name: str, vals: list) -> Value:
-        def ints():
-            for v in vals:
-                if not isinstance(v, VInt):
-                    raise TmcRuntimeError("TypeError",
-                                          f"builtin '{name}' expects integers")
-            return [v.n for v in vals]
-
-        if name == "add":
-            a, b = ints()
-            return VInt(a + b)
-        if name == "sub":
-            a, b = ints()
-            return VInt(a - b)
-        if name == "add1":
-            (a,) = ints()
-            return VInt(a + 1)
-        if name == "leq":
-            a, b = ints()
-            return self._true if a <= b else self._false
-        if name == "eq":
-            a, b = ints()
-            return self._true if a == b else self._false
+    def _builtin(self, name: str, vals) -> Value:
         if name == "print":
             (v,) = vals
             self.metrics.effect_trace.append(self.render(v))
             return self.alloc("Tuple", [])
-        raise TmcRuntimeError("UnboundName", name)
+        for v in vals:
+            if v.__class__ is not VInt:
+                raise TmcRuntimeError("TypeError", f"builtin '{name}' expects integers")
+        if name == "add1":
+            (a,) = vals
+            return VInt(a.n + 1)
+        a, b = vals
+        if name == "add":
+            return VInt(a.n + b.n)
+        if name == "sub":
+            return VInt(a.n - b.n)
+        if a.n <= b.n if name == "leq" else a.n == b.n:
+            return self._true
+        return self._false
 
-    # -- inspection -------------------------------------------------------
+    # -- inspection: explicit stacks, no host recursion ---------------------
 
     def assert_no_holes(self, v: Value) -> None:
-        """Depth-first reachability check; raises HoleEscape with a path."""
+        """Depth-first reachability check; raises HoleEscape with a path.
 
-        stack = [(v, ())]
+        Each visited block keeps a link to its parent; the field path is
+        built only for the hole it reports."""
+
+        blocks = self.blocks
         seen: set[int] = set()
+        links: list[tuple[int, int]] = []  # per visited block: (parent link, field)
+        stack = [(v, -1, 0)]  # (value, link of the block holding it, field)
         while stack:
-            cur, path = stack.pop()
+            cur, parent, i = stack.pop()
             if cur is VHOLE:
+                path = []
+                while parent >= 0:
+                    path.append(i)
+                    parent, i = links[parent]
                 raise TmcRuntimeError(
-                    "HoleEscape",
-                    "hole reachable at field path " +
-                    (".".join(str(i) for i in path) or "<root>"))
-            if isinstance(cur, VBlock):
+                    "HoleEscape", "hole reachable at field path " +
+                    (".".join(str(i) for i in reversed(path)) or "<root>"))
+            if cur.__class__ is VBlock:
                 if cur.addr in seen:
                     continue
                 seen.add(cur.addr)
-                blk = self.blocks[cur.addr]
-                for i, fv in enumerate(blk.fields):
-                    stack.append((fv, path + (i + 1,)))
+                k = len(links)
+                links.append((parent, i))
+                for j, fv in enumerate(blocks[cur.addr].fields, 1):
+                    if fv is VHOLE or fv.__class__ is VBlock:
+                        stack.append((fv, k, j))
 
     def struct_eq(self, v1: Value, v2: Value) -> bool:
         """Structural equality by tag/arity/fields; cycle-safe."""
@@ -440,24 +675,13 @@ class Interp:
         seen: set[tuple[int, int]] = set()
         while stack:
             a, b = stack.pop()
-            if isinstance(a, VInt) or isinstance(b, VInt):
-                if not (isinstance(a, VInt) and isinstance(b, VInt) and a.n == b.n):
+            if a.__class__ is not VBlock or b.__class__ is not VBlock:
+                if a != b:  # integers and functions by value, holes by identity
                     return False
                 continue
-            if isinstance(a, VFun) or isinstance(b, VFun):
-                if not (isinstance(a, VFun) and isinstance(b, VFun)
-                        and a.name == b.name):
-                    return False
+            if (a.addr, b.addr) in seen:
                 continue
-            if a is VHOLE or b is VHOLE:
-                if not (a is VHOLE and b is VHOLE):
-                    return False
-                continue
-            assert isinstance(a, VBlock) and isinstance(b, VBlock)
-            key = (a.addr, b.addr)
-            if key in seen:
-                continue
-            seen.add(key)
+            seen.add((a.addr, b.addr))
             ba, bb = self.blocks[a.addr], self.blocks[b.addr]
             if ba.tag != bb.tag or len(ba.fields) != len(bb.fields):
                 return False
@@ -467,61 +691,72 @@ class Interp:
     def snapshot(self, v: Value):
         """Store-independent copy of a hole-free, acyclic value (Lit tree)."""
 
-        if isinstance(v, VInt):
-            return LInt(v.n)
-        if isinstance(v, VFun):
-            return LFun(v.name)
-        if v is VHOLE:
-            raise TmcRuntimeError("HoleEscape", "snapshot of a hole")
-        blk = self.blocks[v.addr]
-        return LBlock(blk.tag, tuple(self.snapshot(f) for f in blk.fields))
+        blocks = self.blocks
+        root = [v]
+        open_: set[int] = set()  # blocks whose fields are being copied
+        stack = [(root, 0)]  # (list, index) of each Value still to copy
+        while stack:
+            out, i = stack.pop()
+            x = out[i]
+            if x.__class__ is tuple:  # the fields of this block are copied
+                addr, tag, args = x
+                open_.discard(addr)
+                out[i] = LBlock(tag, tuple(args))
+            elif x.__class__ is VInt:
+                out[i] = LInt(x.n)
+            elif x.__class__ is VFun:
+                out[i] = LFun(x.name)
+            elif x is VHOLE:
+                raise TmcRuntimeError("HoleEscape", "snapshot of a hole")
+            elif x.addr in open_:
+                raise _cyclic()
+            else:
+                blk = blocks[x.addr]
+                open_.add(x.addr)
+                args = list(blk.fields)
+                out[i] = (x.addr, blk.tag, args)  # built once its fields are
+                stack.append((out, i))
+                for j in range(len(args) - 1, -1, -1):
+                    if args[j].__class__ is VInt:
+                        args[j] = LInt(args[j].n)
+                    else:
+                        stack.append((args, j))
+        return root[0]
 
     def render(self, v: Value) -> str:
-        if isinstance(v, VInt):
-            return str(v.n)
-        if isinstance(v, VFun):
-            return f"<fun {v.name}>"
-        if v is VHOLE:
-            return "<hole>"
-        blk = self.blocks[v.addr]
-        if not blk.fields:
-            return blk.tag
-        return "(" + " ".join([blk.tag] + [self.render(f) for f in blk.fields]) + ")"
+        # Every item is written with a leading space, dropped at the end.
+        blocks = self.blocks
+        parts: list[str] = []
+        open_: set[int] = set()  # blocks being written
+        stack: list = [v]
+        while stack:
+            x = stack.pop()
+            if x.__class__ is int:  # the end of the block at this address
+                parts.append(")")
+                open_.discard(x)
+            elif x.__class__ is VInt:
+                parts.append(f" {x.n}")
+            elif x.__class__ is VBlock:
+                blk = blocks[x.addr]
+                if not blk.fields:
+                    parts.append(" " + blk.tag)
+                    continue
+                if x.addr in open_:
+                    raise _cyclic()
+                open_.add(x.addr)
+                parts.append(" (" + blk.tag)
+                stack.append(x.addr)
+                stack.extend(reversed(blk.fields))
+            elif x.__class__ is VFun:
+                parts.append(f" <fun {x.name}>")
+            else:
+                parts.append(" <hole>")
+        return "".join(parts)[1:]
 
 
 # ---------------------------------------------------------------------------
-# Convenience entry points (run in a big-stack worker thread: the host
-# Python stack must accommodate deep non-tail recursion of evaluated
-# programs)
+# Convenience entry points
 # ---------------------------------------------------------------------------
-
-_THREAD_STACK = 512 * 1024 * 1024
-
-
-def _in_big_stack_thread(fn):
-    result: list = []
-
-    def runner():
-        old = sys.getrecursionlimit()
-        sys.setrecursionlimit(400_000)
-        try:
-            result.append(("ok", fn()))
-        except BaseException as exc:  # noqa: BLE001 - re-raised in caller
-            result.append(("err", exc))
-        finally:
-            sys.setrecursionlimit(old)
-
-    old_size = threading.stack_size(_THREAD_STACK)
-    try:
-        t = threading.Thread(target=runner)
-        t.start()
-        t.join()
-    finally:
-        threading.stack_size(old_size)
-    kind, payload = result[0]
-    if kind == "err":
-        raise payload
-    return payload
 
 
 def eval_program(program: Program, entry: str, args: list,
@@ -530,11 +765,8 @@ def eval_program(program: Program, entry: str, args: list,
     """Evaluate entry(args) in a fresh store; returns (value, metrics, interp)."""
 
     interp = Interp(program, max_stack, max_steps)
-
-    def go():
-        return interp.call(entry, args)
-
-    value = _in_big_stack_thread(go)
+    value = interp.call(entry, args, check_holes=False)
+    interp.assert_no_holes(value)
     return value, interp.metrics, interp
 
 
@@ -547,16 +779,10 @@ def eval_dps(program: Program, dps_entry: str, args: list,
     """
 
     interp = Interp(program, max_stack, max_steps)
-
-    def go():
-        prev = interp._count_allocs
-        interp._count_allocs = False
-        scratch = interp.alloc("Scratch", [VHOLE])
-        interp._count_allocs = prev
-        interp.call(dps_entry, [scratch, VInt(1)] + list(args), check_holes=False)
-        out = interp.block(scratch).fields[0]
-        interp.assert_no_holes(out)
-        return out
-
-    value = _in_big_stack_thread(go)
-    return value, interp.metrics, interp
+    interp._count_allocs = False
+    scratch = interp.alloc("Scratch", [VHOLE])
+    interp._count_allocs = True
+    interp.call(dps_entry, [scratch, VInt(1)] + list(args), check_holes=False)
+    out = interp.blocks[scratch.addr].fields[0]
+    interp.assert_no_holes(out)
+    return out, interp.metrics, interp

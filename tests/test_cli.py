@@ -3,10 +3,12 @@
 import csv
 import subprocess
 import sys
+import threading
 
 import pytest
 
 from tmc_forge.cli import main
+from tmc_forge.gen import Lcg, gen_value
 
 from conftest import CORPUS, FIXTURES, GOLDENS
 
@@ -86,6 +88,24 @@ class TestTransform:
         code, _, err = run_main(capsys, "transform", str(src))
         assert code == 0
         assert "WARNING UselessMark" in err
+
+    def test_analysis_error_is_printed_once(self, tmp_path, capsys,
+                                            monkeypatch):
+        # The annotated call is bound by a let, so it cannot become a tail
+        # call; the marked function has no candidate left.
+        monkeypatch.setenv("TMC_FORGE_COLOR", "0")
+        src = tmp_path / "bound_tailcall.tmc"
+        src.write_text(
+            "(program (letrec (fun (@ tail_mod_cons) f (xs)"
+            " (match xs (case Nil (constr Nil))"
+            " (case (Cons x rest)"
+            " (let y (call (@ tailcall) f rest) (constr Cons x y))))))"
+            " (main (int 0)))")
+        code, out, err = run_main(capsys, "transform", str(src))
+        assert code == 1 and out == ""
+        lines = err.splitlines()
+        assert [ln.split()[:2] for ln in lines] == [
+            ["WARNING", "UselessMark"], ["ERROR", "TailcallNotSatisfiable"]]
 
 class TestRun:
     def test_run_entry(self, capsys):
@@ -229,3 +249,61 @@ def test_broken_fixture_via_cli(capsys):
     code, _, err = run_main(capsys, "run", str(FIXTURES / "broken_hole_map.tmc"),
                             "--entry", "main")
     assert code == 0
+
+
+class TestExitPaths:
+    """Deep runs end in success or a one-line diagnostic, on the caller's
+    thread at the interpreter's default recursion limit."""
+
+    @pytest.fixture(autouse=True)
+    def default_host_stack(self):
+        assert threading.current_thread() is threading.main_thread()
+        assert sys.getrecursionlimit() <= 1000
+
+    def test_untransformed_map_20000_runs(self, capsys):
+        code, out, err = run_main(capsys, "run", corpus("map.tmc"),
+                                  "--entry", "map", "--arg", "fun:add1",
+                                  "--arg", "list:20000", "--seed", "4",
+                                  "--metrics")
+        assert code == 0 and err == ""
+        rng = Lcg(4)
+        gen_value("fun:add1", rng)
+        xs, lit = [], gen_value("list:20000", rng)
+        while lit.args:
+            xs.append(lit.args[0].n)
+            lit = lit.args[1]
+        lines = out.splitlines()
+        assert lines[0] == ("".join(f"(Cons {x + 1} " for x in xs) + "Nil"
+                            + ")" * len(xs))
+        assert "max_stack_depth=20001" in lines
+
+    def test_untransformed_map_100000_hits_the_stack_limit(self, capsys):
+        code, out, err = run_main(capsys, "run", corpus("map.tmc"),
+                                  "--entry", "map", "--arg", "fun:add1",
+                                  "--arg", "list:100000", "--max-stack", "50000")
+        assert code == 2 and out == ""
+        assert err.splitlines() == ["ERROR StackLimit StackLimit: depth 50001"]
+
+    def test_transformed_map_100000_runs_in_constant_stack(self, capsys):
+        code, out, err = run_main(capsys, "run", corpus("map.tmc"),
+                                  "--entry", "map", "--arg", "fun:add1",
+                                  "--arg", "list:100000", "--transform",
+                                  "--metrics")
+        assert code == 0 and err == ""
+        assert "max_stack_depth=2" in out.splitlines()
+
+    def test_diff_on_list_2000(self, capsys):
+        code, out, err = run_main(capsys, "diff", corpus("map.tmc"),
+                                  "--entry", "map", "--arg", "fun:add1",
+                                  "--arg", "list:2000", "--trials", "1")
+        assert code == 0 and err == ""
+        assert out == "entry=map trials=1 failures=0 trace_divergences=0\n"
+
+    def test_cyclic_result_is_a_runtime_error(self, tmp_path, capsys):
+        src = tmp_path / "cycle.tmc"
+        src.write_text("(program (main (let p (constr Pair (hole) 1)"
+                       " (seq (setref p 1 p) p))))")
+        code, out, err = run_main(capsys, "run", str(src), "--entry", "main")
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("ERROR CyclicValue")

@@ -11,6 +11,7 @@ from tmc_forge.runtime import (
     LBlock,
     LInt,
     TmcRuntimeError,
+    VHOLE,
     VInt,
     eval_dps,
     eval_program,
@@ -131,6 +132,68 @@ class TestEquality:
         x = i.alloc("Loop", [VInt(0)])
         i.blocks[x.addr].fields[0] = x
         i.assert_no_holes(x)  # must not loop forever
+
+
+class TestHoleCheck:
+    def test_reports_the_first_hole_in_depth_first_order(self):
+        # Fields are visited last to first: field 2's hole is found before
+        # the one in field 1.
+        i = Interp(EMPTY)
+        inner = i.alloc("Cons", [VHOLE, VInt(1)])
+        root = i.alloc("Pair", [VHOLE, inner])
+        with pytest.raises(TmcRuntimeError) as ei:
+            i.assert_no_holes(root)
+        assert str(ei.value) == "HoleEscape: hole reachable at field path 2.1"
+
+    def test_hole_at_the_end_of_a_long_list(self):
+        i = Interp(EMPTY)
+        v = i.alloc("Cons", [VInt(0), VHOLE])
+        for n in range(1, 100_000):
+            v = i.alloc("Cons", [VInt(n), v])
+        with pytest.raises(TmcRuntimeError) as ei:
+            i.assert_no_holes(v)
+        assert str(ei.value) == ("HoleEscape: hole reachable at field path "
+                                 + ".".join(["2"] * 100_000))
+
+    def test_hole_as_the_root(self):
+        with pytest.raises(TmcRuntimeError) as ei:
+            Interp(EMPTY).assert_no_holes(VHOLE)
+        assert str(ei.value) == "HoleEscape: hole reachable at field path <root>"
+
+
+class TestDeepValues:
+    """Value walkers use explicit stacks: a 10^5-element list needs no
+    more than the default host recursion limit."""
+
+    N = 100_000
+
+    def test_render_snapshot_compare_and_repr(self):
+        i = Interp(EMPTY)
+        lit = list_lit(range(self.N))
+        v = i.instantiate(lit)
+        text = i.render(v)
+        assert text.startswith("(Cons 0 (Cons 1 ") and text.endswith(
+            "Nil" + ")" * self.N)
+        snap = i.snapshot(v)
+        assert snap == lit and not snap != lit
+        assert snap != list_lit(range(1, self.N + 1))
+        assert repr(snap).startswith("(Cons LInt(n=0) (Cons LInt(n=1) ")
+
+    def test_walkers_reject_cycles(self):
+        i = Interp(EMPTY)
+        x = i.alloc("Loop", [VInt(0), VHOLE])
+        i.blocks[x.addr].fields[1] = x
+        for walk in (i.render, i.snapshot):
+            with pytest.raises(TmcRuntimeError) as ei:
+                walk(x)
+            assert ei.value.code == "CyclicValue"
+
+    def test_shared_blocks_are_not_cycles(self):
+        i = Interp(EMPTY)
+        leaf = i.alloc("Leaf", [VInt(1)])
+        v = i.alloc("Node", [leaf, leaf])
+        assert i.render(v) == "(Node (Leaf 1) (Leaf 1))"
+        assert i.snapshot(v) == LBlock("Node", (LBlock("Leaf", (LInt(1),)),) * 2)
 
 
 class TestMetricsAndLimits:
