@@ -21,7 +21,7 @@ from .runtime import (
     eval_program,
 )
 from .surface import ParseError, parse_program, print_program
-from .transform import TransformError, analyze_program, transform_program
+from .transform import TransformError, transform_program
 
 
 def _use_color(stream) -> bool:
@@ -30,15 +30,14 @@ def _use_color(stream) -> bool:
     return hasattr(stream, "isatty") and stream.isatty()
 
 
-def _emit_diags(diags: list[Diagnostic], filename: str, stream=None) -> None:
-    stream = stream or sys.stderr
-    color = _use_color(stream)
+def _emit_diags(diags: list[Diagnostic], filename: str) -> None:
+    color = _use_color(sys.stderr)
     for d in diags:
         line = d.render(filename)
         if color:
             code = "31" if d.severity == "Error" else "33"
             line = f"\x1b[{code}m{line}\x1b[0m"
-        print(line, file=stream)
+        print(line, file=sys.stderr)
 
 
 def _load(path: str):
@@ -145,12 +144,14 @@ def cmd_parse(args) -> int:
 
 
 def cmd_transform(args) -> int:
-    p = _load(args.file)
-    _, diags = analyze_program(p)
-    _emit_diags(diags, args.file)
-    if any(d.severity == "Error" for d in diags):
+    diags: list[Diagnostic] = []
+    try:
+        out = transform_program(_load(args.file), diagnostics=diags)
+    except TransformError:
         return 1
-    _write_out(args, print_program(transform_program(p)))
+    finally:
+        _emit_diags(diags, args.file)
+    _write_out(args, print_program(out))
     return 0
 
 
@@ -284,6 +285,10 @@ def main(argv=None) -> int:
         return 2
     except BadSpec as exc:
         print(f"usage error: {exc}", file=sys.stderr)
+        return 1
+    except RecursionError:  # only the front end recurses
+        print(f"ERROR NestingTooDeep {args.file}: the program nests too "
+              f"deeply for the front end", file=sys.stderr)
         return 1
 
 

@@ -14,7 +14,7 @@ from typing import Optional, Union
 TAIL_MOD_CONS = "tail_mod_cons"
 TAILCALL = "tailcall"
 
-BUILTINS = ("add", "sub", "leq", "eq", "print", "add1")
+BUILTINS = {"add": 2, "sub": 2, "leq": 2, "eq": 2, "print": 1, "add1": 1}
 
 
 @dataclass(frozen=True)

@@ -617,17 +617,22 @@ class Interp:
         return True
 
     def _builtin(self, name: str, vals) -> Value:
+        try:
+            if name == "print" or name == "add1":
+                (a,) = vals
+                b = a
+            else:
+                a, b = vals
+        except ValueError:
+            raise TmcRuntimeError("ArityMismatch", f"{name} takes {BUILTINS[name]} "
+                                  f"arguments, got {len(vals)}") from None
         if name == "print":
-            (v,) = vals
-            self.metrics.effect_trace.append(self.render(v))
+            self.metrics.effect_trace.append(self.render(a))
             return self.alloc("Tuple", [])
-        for v in vals:
-            if v.__class__ is not VInt:
-                raise TmcRuntimeError("TypeError", f"builtin '{name}' expects integers")
+        if a.__class__ is not VInt or b.__class__ is not VInt:
+            raise TmcRuntimeError("TypeError", f"builtin '{name}' expects integers")
         if name == "add1":
-            (a,) = vals
             return VInt(a.n + 1)
-        a, b = vals
         if name == "add":
             return VInt(a.n + b.n)
         if name == "sub":

@@ -27,6 +27,7 @@ forms only, so printing is canonicalizing.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 from .ir import (
@@ -69,7 +70,11 @@ class ParseError(Exception):
 # Reader: text -> nested atoms/lists with spans
 # ---------------------------------------------------------------------------
 
-_DELIMS = "()\"; \t\r\n"
+# One match per token: blanks and comments, then "(", ")", an atom, a '"'
+# or the end of the input.  Every match succeeds where the previous one
+# ended, so the reader never backtracks.
+_TOKEN = re.compile(r'(?:[ \t\r\n]|;[^\n]*)*(?:(\()|(\))|([^()"; \t\r\n]+)|(")|\Z)')
+_OPEN, _CLOSE, _ATOM = 1, 2, 3
 
 
 @dataclass
@@ -84,64 +89,51 @@ class SList:
     span: Span
 
 
-class _Reader:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-        self.line = 1
-        self.col = 0
+def _read(text: str) -> list:
+    """The first datum of text and, if more input follows, the second.
 
-    def _advance(self, n: int = 1):
-        for _ in range(n):
-            if self.pos < len(self.text):
-                if self.text[self.pos] == "\n":
-                    self.line += 1
-                    self.col = 0
-                else:
-                    self.col += 1
-                self.pos += 1
+    Lists still open are kept on an explicit stack, so nesting depth is
+    bounded by memory only."""
 
-    def here(self) -> Span:
-        return Span(self.pos, self.pos, self.line, self.col)
-
-    def skip_ws(self):
-        while self.pos < len(self.text):
-            c = self.text[self.pos]
-            if c in " \t\r\n":
-                self._advance()
-            elif c == ";":
-                while self.pos < len(self.text) and self.text[self.pos] != "\n":
-                    self._advance()
-            else:
-                return
-
-    def read(self):
-        self.skip_ws()
-        if self.pos >= len(self.text):
-            raise ParseError(self.here(), "unexpected end of input", ["expression"])
-        start_pos, start_line, start_col = self.pos, self.line, self.col
-        c = self.text[self.pos]
-        if c == "(":
-            self._advance()
-            items = []
-            while True:
-                self.skip_ws()
-                if self.pos >= len(self.text):
-                    raise ParseError(self.here(), "unclosed '('", [")"])
-                if self.text[self.pos] == ")":
-                    self._advance()
-                    return SList(items, Span(start_pos, self.pos, start_line, start_col))
-                items.append(self.read())
-        if c == ")":
-            raise ParseError(self.here(), "unexpected ')'", ["expression"])
-        while self.pos < len(self.text) and self.text[self.pos] not in _DELIMS:
-            self._advance()
-        tok = self.text[start_pos:self.pos]
-        return Atom(tok, Span(start_pos, self.pos, start_line, start_col))
-
-    def at_eof(self) -> bool:
-        self.skip_ws()
-        return self.pos >= len(self.text)
+    forms = []
+    stack = []  # open lists: (items, pos, line, col)
+    line, line_start, last = 1, 0, 0
+    for m in _TOKEN.finditer(text):
+        kind = m.lastindex
+        pos = m.start(kind) if kind else len(text)
+        if newlines := text.count("\n", last, pos):  # in blanks and comments
+            line += newlines
+            line_start = text.rfind("\n", last, pos) + 1
+        last = m.end()
+        col = pos - line_start
+        if kind == _OPEN:
+            stack.append(([], pos, line, col))
+            continue
+        if kind == _CLOSE:
+            if not stack:
+                raise ParseError(Span(pos, pos, line, col), "unexpected ')'",
+                                 ["expression"])
+            items, start, l0, c0 = stack.pop()
+            node = SList(items, Span(start, pos + 1, l0, c0))
+        elif kind == _ATOM:
+            node = Atom(m.group(kind), Span(pos, m.end(), line, col))
+        elif kind:
+            raise ParseError(Span(pos, pos, line, col),
+                             "unexpected '\"': there are no string literals")
+        elif stack:
+            raise ParseError(Span(pos, pos, line, col), "unclosed '('", [")"])
+        elif forms:
+            return forms
+        else:
+            raise ParseError(Span(pos, pos, line, col), "unexpected end of input",
+                             ["expression"])
+        if stack:
+            stack[-1][0].append(node)
+        else:
+            forms.append(node)
+            if len(forms) == 2:
+                return forms
+    raise AssertionError("unreachable: the last token is the end of input")
 
 
 def _is_int(tok: str) -> bool:
@@ -164,22 +156,20 @@ def _head(node: SList) -> str:
     return node.items[0].text
 
 
-def _attrs(node, allowed: set[str]) -> frozenset[str]:
-    if not isinstance(node, SList) or _head(node) != "@":
-        raise _err(node, "expected attribute list (@ ...)")
+def _attrs(rest: list, allowed: set[str]) -> tuple[frozenset[str], list]:
+    """Split an (@ ...) attribute list, if any, off the front of rest."""
+
+    head = rest[0] if rest else None
+    if not (isinstance(head, SList) and head.items
+            and isinstance(head.items[0], Atom) and head.items[0].text == "@"):
+        return frozenset(), rest
     out = set()
-    for a in node.items[1:]:
+    for a in head.items[1:]:
         if not isinstance(a, Atom) or a.text not in allowed:
-            raise _err(a if isinstance(a, (Atom, SList)) else node,
-                       f"unknown attribute {getattr(a, 'text', a)!r}",
+            raise _err(a, f"unknown attribute {getattr(a, 'text', a)!r}",
                        sorted(allowed))
         out.add(a.text)
-    return frozenset(out)
-
-
-def _is_attr_list(node) -> bool:
-    return (isinstance(node, SList) and node.items
-            and isinstance(node.items[0], Atom) and node.items[0].text == "@")
+    return frozenset(out), rest[1:]
 
 
 def build_expr(node) -> Expr:
@@ -209,10 +199,7 @@ def build_expr(node) -> Expr:
             raise _err(node, "expected symbol")
         return Var(rest[0].text, span=sp)
     if head == "call":
-        attrs = frozenset()
-        if rest and _is_attr_list(rest[0]):
-            attrs = _attrs(rest[0], {TAILCALL})
-            rest = rest[1:]
+        attrs, rest = _attrs(rest, {TAILCALL})
         if not rest or not isinstance(rest[0], Atom):
             raise _err(node, "call needs a callee symbol")
         return Call(rest[0].text, [build_expr(a) for a in rest[1:]], attrs, span=sp)
@@ -235,8 +222,7 @@ def build_expr(node) -> Expr:
         clauses = []
         for c in rest[1:]:
             if not isinstance(c, SList) or _head(c) != "case" or len(c.items) != 3:
-                raise _err(c if isinstance(c, (SList, Atom)) else node,
-                           "expected (case pat expr)")
+                raise _err(c, "expected (case pat expr)")
             clauses.append((build_pattern(c.items[1]), build_expr(c.items[2])))
         return Match(scrut, clauses, span=sp)
     if head == "setref":
@@ -282,11 +268,7 @@ def build_pattern(node) -> Pattern:
 def build_fundef(node) -> FunDef:
     if not isinstance(node, SList) or _head(node) != "fun":
         raise _err(node, "expected (fun ...)")
-    rest = node.items[1:]
-    attrs = frozenset()
-    if rest and _is_attr_list(rest[0]):
-        attrs = _attrs(rest[0], {TAIL_MOD_CONS})
-        rest = rest[1:]
+    attrs, rest = _attrs(node.items[1:], {TAIL_MOD_CONS})
     if len(rest) != 3 or not isinstance(rest[0], Atom) or not isinstance(rest[1], SList):
         raise _err(node, "expected (fun attrs? name (params) body)")
     params = []
@@ -302,11 +284,9 @@ def build_fundef(node) -> FunDef:
 def parse_program(text: str) -> Program:
     """Parse source text into a Program; raises ParseError."""
 
-    r = _Reader(text)
-    top = r.read()
-    if not r.at_eof():
-        extra = r.read()
-        raise ParseError(extra.span, "trailing input after program form")
+    top, *extra = _read(text)
+    if extra:
+        raise ParseError(extra[0].span, "trailing input after program form")
     if not isinstance(top, SList) or _head(top) != "program":
         raise _err(top, "expected (program ...)")
     groups: list[list[FunDef]] = []
@@ -336,124 +316,131 @@ def parse_program(text: str) -> Program:
 
 # ---------------------------------------------------------------------------
 # Canonical printer
+#
+# `_LAYOUT` is the one description of each node's text: a list of items,
+# each a string, a break or a child.  A node whose flat width fits in
+# _WIDTH columns from its indent is printed flat, its breaks as spaces.
+# Otherwise each break starts a new line at the indent plus 2, and each
+# child decides again at its own indent.  One bottom-up pass sums the flat
+# widths and one pass emits the text, both with explicit stacks, so the
+# printer takes time linear in its output and has no depth limit.
 # ---------------------------------------------------------------------------
 
 _WIDTH = 72
+# Breaks.  The value is the flat width, and indexes the break's text in
+# _render.
+_SPACE = 1  # flat: " "; broken: a newline and the indent plus 2
+_NEWLINE = 0  # flat: nothing; broken: a bare newline (no arguments follow)
 
 
-def _pat_str(p: Pattern) -> str:
-    if isinstance(p, PVar):
-        return p.name
-    if isinstance(p, PWild):
-        return "_"
-    if isinstance(p, PInt):
-        return str(p.n)
-    assert isinstance(p, PConstr)
-    if not p.subpatterns:
-        return p.tag
-    return "(" + " ".join([p.tag] + [_pat_str(s) for s in p.subpatterns]) + ")"
+def _attrs_str(attrs) -> str:
+    return " (@ " + " ".join(sorted(attrs)) + ")" if attrs else ""
 
 
-def _inline(e: Expr) -> str:
-    if isinstance(e, Var):
-        return e.name
-    if isinstance(e, Int):
-        return f"(int {e.n})"
-    if isinstance(e, Hole):
-        return "(hole)"
-    if isinstance(e, Call):
-        parts = ["call"]
-        if e.attrs:
-            parts.append("(@ " + " ".join(sorted(e.attrs)) + ")")
-        parts.append(e.callee)
-        parts.extend(_inline(a) for a in e.args)
-        return "(" + " ".join(parts) + ")"
-    if isinstance(e, Let):
-        return f"(let {e.binder} {_inline(e.bound)} {_inline(e.body)})"
-    if isinstance(e, Seq):
-        return f"(seq {_inline(e.first)} {_inline(e.second)})"
-    if isinstance(e, Constr):
-        return "(" + " ".join(["constr", e.tag] + [_inline(a) for a in e.args]) + ")"
-    if isinstance(e, Match):
-        cl = " ".join(f"(case {_pat_str(p)} {_inline(b)})" for p, b in e.clauses)
-        return f"(match {_inline(e.scrutinee)} {cl})"
-    if isinstance(e, SetRef):
-        return f"(setref {_inline(e.dest)} {_inline(e.index)} {_inline(e.value)})"
-    if isinstance(e, Letrec):
-        fs = " ".join(_fundef_inline(f) for f in e.group)
-        return f"(letrec {fs} {_inline(e.body)})"
-    raise TypeError(f"cannot print {e!r}")
+def _each(sep, children, offset=2) -> list:
+    return [item for c in children for item in (sep, (c, offset))]
 
 
-def _fundef_inline(f: FunDef) -> str:
-    parts = ["fun"]
-    if f.attrs:
-        parts.append("(@ " + " ".join(sorted(f.attrs)) + ")")
-    parts.append(f.name)
-    parts.append("(" + " ".join(f.params) + ")")
-    parts.append(_inline(f.body))
-    return "(" + " ".join(parts) + ")"
+# A child item is (node, offset): when its parent is broken, the child is
+# printed at the parent's indent plus offset; an offset of None prints it
+# flat always.
+_LAYOUT = {
+    Var: lambda x: [x.name],
+    Int: lambda x: [f"(int {x.n})"],
+    Hole: lambda x: ["(hole)"],
+    Call: lambda x: [f"(call{_attrs_str(x.attrs)} {x.callee}",
+                     *(_each(_SPACE, x.args) or [_NEWLINE]), ")"],
+    Constr: lambda x: [f"(constr {x.tag}",
+                       *(_each(_SPACE, x.args) or [_NEWLINE]), ")"],
+    # The bound decides one column right of where it starts, as it always has.
+    Let: lambda x: [f"(let {x.binder} ", (x.bound, 7 + len(x.binder)), _SPACE,
+                    (x.body, 2), ")"],
+    Seq: lambda x: ["(seq ", (x.first, 5), _SPACE, (x.second, 2), ")"],
+    Match: lambda x: ["(match ", (x.scrutinee, 7), *_each(_SPACE, x.clauses),
+                      ")"],
+    tuple: lambda x: ["(case ", (x[0], None), _SPACE, (x[1], 2), ")"],  # clause
+    SetRef: lambda x: ["(setref ", (x.dest, 8), " ", (x.index, None), _SPACE,
+                       (x.value, 2), ")"],
+    Letrec: lambda x: ["(letrec", *_each(_SPACE, x.group), _SPACE, (x.body, 2),
+                       ")"],
+    FunDef: lambda x: [f"(fun{_attrs_str(x.attrs)} {x.name} "
+                       f"({' '.join(x.params)})", _SPACE, (x.body, 2), ")"],
+    PVar: lambda x: [x.name],
+    PWild: lambda x: ["_"],
+    PInt: lambda x: [str(x.n)],
+    PConstr: lambda x: ([f"({x.tag}", *_each(" ", x.subpatterns, None), ")"]
+                        if x.subpatterns else [x.tag]),
+}
 
 
-def _fmt(e: Expr, indent: int) -> str:
-    line = _inline(e)
-    if indent + len(line) <= _WIDTH:
-        return line
-    pad = " " * (indent + 2)
-    if isinstance(e, Let):
-        return (f"(let {e.binder} {_fmt(e.bound, indent + 7 + len(e.binder))}\n"
-                f"{pad}{_fmt(e.body, indent + 2)})")
-    if isinstance(e, Seq):
-        return (f"(seq {_fmt(e.first, indent + 5)}\n"
-                f"{pad}{_fmt(e.second, indent + 2)})")
-    if isinstance(e, Constr):
-        args = "\n".join(pad + _fmt(a, indent + 2) for a in e.args)
-        return f"(constr {e.tag}\n{args})"
-    if isinstance(e, Call):
-        head = "(call"
-        if e.attrs:
-            head += " (@ " + " ".join(sorted(e.attrs)) + ")"
-        head += f" {e.callee}"
-        args = "\n".join(pad + _fmt(a, indent + 2) for a in e.args)
-        return f"{head}\n{args})"
-    if isinstance(e, Match):
-        cl = "\n".join(pad + _clause_fmt(p, b, indent + 2) for p, b in e.clauses)
-        return f"(match {_fmt(e.scrutinee, indent + 7)}\n{cl})"
-    if isinstance(e, SetRef):
-        return (f"(setref {_fmt(e.dest, indent + 8)} {_inline(e.index)}\n"
-                f"{pad}{_fmt(e.value, indent + 2)})")
-    if isinstance(e, Letrec):
-        fs = "\n".join(pad + _fundef_fmt(f, indent + 2) for f in e.group)
-        return f"(letrec\n{fs}\n{pad}{_fmt(e.body, indent + 2)})"
-    return line
+def _measure(roots) -> dict:
+    """id(node) -> (flat width, items) for every node under roots."""
+
+    order = []  # pre-order, so each node comes before its children
+    stack = list(roots)
+    while stack:
+        x = stack.pop()
+        layout = _LAYOUT.get(x.__class__)
+        if layout is None:
+            raise TypeError(f"cannot print {x!r}")
+        items = layout(x)
+        order.append((x, items))
+        for it in items:
+            if it.__class__ is tuple:
+                stack.append(it[0])
+    table = {}
+    for x, items in reversed(order):
+        w = 0
+        for it in items:
+            c = it.__class__
+            if c is str:
+                w += len(it)
+            elif c is int:
+                w += it
+            else:
+                w += table[id(it[0])][0]
+        table[id(x)] = (w, items)
+    return table
 
 
-def _clause_fmt(p: Pattern, b: Expr, indent: int) -> str:
-    line = f"(case {_pat_str(p)} {_inline(b)})"
-    if indent + len(line) <= _WIDTH:
-        return line
-    pad = " " * (indent + 2)
-    return f"(case {_pat_str(p)}\n{pad}{_fmt(b, indent + 2)})"
+def _render(root: list) -> str:
+    """Text of a top-level item list, which has no breaks, at indent 0."""
 
-
-def _fundef_fmt(f: FunDef, indent: int) -> str:
-    line = _fundef_inline(f)
-    if indent + len(line) <= _WIDTH:
-        return line
-    head = "(fun"
-    if f.attrs:
-        head += " (@ " + " ".join(sorted(f.attrs)) + ")"
-    head += f" {f.name} (" + " ".join(f.params) + ")"
-    pad = " " * (indent + 2)
-    return f"{head}\n{pad}{_fmt(f.body, indent + 2)})"
+    table = _measure(it[0] for it in root if it.__class__ is tuple)
+    out = []
+    # Strings to emit and (node, indent, flat) to lay out, last one first.
+    stack = [it if it.__class__ is str else (it[0], it[1], False)
+             for it in reversed(root)]
+    while stack:
+        x = stack.pop()
+        if x.__class__ is str:
+            out.append(x)
+            continue
+        node, indent, flat = x
+        width, items = table[id(node)]
+        flat = flat or indent + width <= _WIDTH
+        breaks = ("", " ") if flat else ("\n", "\n" + " " * (indent + 2))
+        for it in reversed(items):
+            c = it.__class__
+            if c is str:
+                stack.append(it)
+            elif c is int:
+                stack.append(breaks[it])
+            elif it[1] is None:
+                stack.append((it[0], 0, True))
+            else:
+                stack.append((it[0], indent + it[1], flat))
+    return "".join(out)
 
 
 def print_program(p: Program) -> str:
     """Canonical layout; parse_program(print_program(p)) == p."""
 
-    lines = ["(program"]
+    root = ["(program"]
     for group in p.groups:
-        body = "\n".join("    " + _fundef_fmt(f, 4) for f in group)
-        lines.append(f"  (letrec\n{body})")
-    lines.append(f"  (main {_fmt(p.main, 8)}))")
-    return "\n".join(lines)
+        root.append("\n  (letrec")
+        for f in group:
+            root += ("\n    ", (f, 4))
+        root.append(")")
+    root += ("\n  (main ", (p.main, 8), "))")
+    return _render(root)

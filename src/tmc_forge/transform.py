@@ -313,21 +313,19 @@ def check_single_completion(body: Expr, marks: MarkSet) -> None:
             "destination write or DPS call")
 
 
-def analyze_program(p: Program) -> tuple[MarkSet, list[Diagnostic]]:
-    """Static checks shared by the CLI and transform_program."""
+def transform_program(p: Program, compress: bool = True,
+                      diagnostics: Optional[list[Diagnostic]] = None) -> Program:
+    """Whole-program rewrite; raises TransformError on any Error diagnostic.
+
+    Every diagnostic found, warnings included, is also appended to
+    `diagnostics` when it is given, in the order found."""
 
     diags = well_formed(p)
     marks = collect_marks(p)
-    verdict = resolve_scope(p, marks)
-    diags.extend(verdict.warnings)
+    diags.extend(resolve_scope(p, marks).warnings)
     diags.extend(check_tailcall_annotations(p, marks))
-    return marks, diags
-
-
-def transform_program(p: Program, compress: bool = True) -> Program:
-    """Whole-program rewrite; raises TransformError on any Error diagnostic."""
-
-    marks, diags = analyze_program(p)
+    if diagnostics is not None:
+        diagnostics.extend(diags)
     errors = [d for d in diags if d.severity == "Error"]
     if errors:
         raise TransformError(errors)
@@ -337,5 +335,7 @@ def transform_program(p: Program, compress: bool = True) -> Program:
         groups = [rw.rewrite_group(g, root) for g in p.groups]
         main = rw.scrub(p.main, root)
     except AnalysisError as exc:
+        if diagnostics is not None:
+            diagnostics.append(exc.diagnostic)
         raise TransformError([exc.diagnostic]) from exc
     return Program(groups, main)

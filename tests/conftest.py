@@ -15,6 +15,31 @@ def load(name: str):
     return parse_program((CORPUS / name).read_text())
 
 
+def marked_chain(depth: int) -> str:
+    """A program whose marked list map nests `depth` let/seq/match layers
+    (a third of each, interleaved) around the recursive call in its Cons
+    case; the call sits at the bottom, in TMC position."""
+
+    var, opens, closes = "x", [], []
+    for i in range(depth):
+        if i % 3 == 0:
+            opens.append(f"(let v{i} (call add {var} {i % 10}) ")
+            closes.append(")")
+            var = f"v{i}"
+        elif i % 3 == 1:
+            opens.append(f"(seq (call add1 {var}) ")
+            closes.append(")")
+        else:
+            opens.append(f"(match {var} (case {i} (constr Nil)) (case v{i} ")
+            closes.append("))")
+            var = f"v{i}"
+    body = ("".join(opens) + f"(constr Cons {var} (call f rest))"
+            + "".join(reversed(closes)))
+    return ("(program (letrec (fun (@ tail_mod_cons) f (xs) (match xs "
+            f"(case Nil (constr Nil)) (case (Cons x rest) {body}))))"
+            " (main (int 0)))")
+
+
 @pytest.fixture
 def corpus_dir():
     return CORPUS

@@ -7,10 +7,12 @@ import threading
 
 import pytest
 
+from tmc_forge import transform
 from tmc_forge.cli import main
 from tmc_forge.gen import Lcg, gen_value
+from tmc_forge.surface import parse_program, print_program
 
-from conftest import CORPUS, FIXTURES, GOLDENS
+from conftest import CORPUS, FIXTURES, GOLDENS, marked_chain
 
 
 def run_main(capsys, *argv):
@@ -107,6 +109,21 @@ class TestTransform:
         assert [ln.split()[:2] for ln in lines] == [
             ["WARNING", "UselessMark"], ["ERROR", "TailcallNotSatisfiable"]]
 
+    @pytest.mark.parametrize("name", ["map.tmc", "flatten_nested.tmc",
+                                      "tree_map_ambiguous.tmc"])
+    def test_static_analysis_runs_once(self, name, capsys, monkeypatch):
+        calls = []
+        for attr in ("well_formed", "collect_marks", "resolve_scope",
+                     "check_tailcall_annotations"):
+            def counted(*a, _attr=attr, _orig=getattr(transform, attr)):
+                calls.append(_attr)
+                return _orig(*a)
+            monkeypatch.setattr(transform, attr, counted)
+        run_main(capsys, "transform", corpus(name))
+        assert sorted(calls) == ["check_tailcall_annotations", "collect_marks",
+                                 "resolve_scope", "well_formed"]
+
+
 class TestRun:
     def test_run_entry(self, capsys):
         code, out, _ = run_main(capsys, "run", corpus("map.tmc"),
@@ -131,6 +148,32 @@ class TestRun:
         assert code == 0
         assert "max_stack_depth=" in out
         assert "allocations=" in out
+
+    @pytest.mark.parametrize("main_expr,argv", [
+        ("(call add 1)", ["--entry", "main"]),
+        ("(int 0)", ["--entry", "add", "--arg", "1"]),
+    ])
+    def test_builtin_arity_is_a_runtime_error(self, tmp_path, capsys,
+                                              main_expr, argv):
+        src = tmp_path / "arity.tmc"
+        src.write_text(f"(program (main {main_expr}))")
+        code, out, err = run_main(capsys, "run", str(src), *argv)
+        assert code == 2 and out == ""
+        assert err == ("ERROR ArityMismatch ArityMismatch: add takes 2 "
+                       "arguments, got 1\n")
+
+    def test_builtin_arity_through_a_function_value(self, tmp_path, capsys):
+        src = tmp_path / "apply.tmc"
+        src.write_text("(program (letrec (fun app (f x) (call f x)))"
+                       " (main (int 0)))")
+        code, out, err = run_main(capsys, "run", str(src), "--entry", "app",
+                                  "--arg", "fun:add", "--arg", "3")
+        assert code == 2 and out == ""
+        assert err == ("ERROR ArityMismatch ArityMismatch: add takes 2 "
+                       "arguments, got 1\n")
+        code, out, _ = run_main(capsys, "run", str(src), "--entry", "app",
+                                "--arg", "fun:add1", "--arg", "3")
+        assert code == 0 and out == "4\n"
 
     def test_runtime_error_exit_2(self, capsys):
         code, _, err = run_main(capsys, "run", corpus("map.tmc"),
@@ -235,6 +278,17 @@ def test_bad_input_spec_is_a_one_line_usage_error(argv, capsys):
     assert len(err.splitlines()) == 1 and err.startswith("usage error: ")
 
 
+def test_string_quote_is_a_parse_error_not_a_hang(tmp_path):
+    src = tmp_path / "quote.tmc"
+    src.write_text('(program\n  (main "x"))')
+    proc = subprocess.run(
+        [sys.executable, "-m", "tmc_forge.cli", "parse", str(src)],
+        capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr == (f"ERROR ParseError {src}:2:8: unexpected "
+                           "'\"': there are no string literals\n")
+
+
 def test_console_script_help():
     proc = subprocess.run(
         [sys.executable, "-m", "tmc_forge.cli", "--help"],
@@ -307,3 +361,23 @@ class TestExitPaths:
         assert code == 2 and out == ""
         assert len(err.splitlines()) == 1
         assert err.startswith("ERROR CyclicValue")
+
+    def test_marked_chain_of_depth_900_transforms(self, tmp_path, capsys):
+        src = tmp_path / "chain.tmc"
+        src.write_text(marked_chain(900))
+        code, out, err = run_main(capsys, "transform", str(src))
+        assert code == 0 and err == ""
+        assert "(fun f_dps " in out
+        # Compared as text: dataclass equality this deep would recurse.
+        text = out.rstrip("\n")
+        assert print_program(parse_program(text)) == text
+
+    @pytest.mark.parametrize("command", ["parse", "transform"])
+    def test_nesting_too_deep_for_the_front_end(self, tmp_path, capsys,
+                                                command):
+        src = tmp_path / "deep.tmc"
+        src.write_text(marked_chain(3000))
+        code, out, err = run_main(capsys, command, str(src))
+        assert code == 1 and out == ""
+        assert err == (f"ERROR NestingTooDeep {src}: the program nests too "
+                       "deeply for the front end\n")

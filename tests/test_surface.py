@@ -14,6 +14,7 @@ from tmc_forge.ir import (
     PConstr,
     Program,
     Seq,
+    Span,
     Var,
 )
 from tmc_forge.surface import ParseError, parse_program, print_program
@@ -106,6 +107,24 @@ class TestErrors:
 
     def test_empty_input(self):
         self.err("   ; nothing here\n")
+
+    def test_string_quote_is_rejected_where_it_stands(self):
+        e = self.err('(program\n  (main (seq 1 "x")))')
+        assert (e.span.byte_start, e.span.line, e.span.column) == (24, 2, 15)
+        assert str(e) == "2:15: unexpected '\"': there are no string literals"
+
+    def test_reader_has_no_depth_limit(self):
+        e = self.err("(" * 5000 + ")" * 5000)
+        assert str(e) == "1:0: expected a keyword form"
+        e = self.err("(program\n" + "(" * 5000)
+        assert str(e) == "2:5000: unclosed '(' (expected ))"
+
+
+def test_spans_count_lines_and_columns():
+    p = parse_program("; c\n(program\n\t(main ; (x\n  (seq x\t-12)))")
+    assert p.main.span == Span(27, 38, 4, 2)
+    assert p.main.first.span == Span(32, 33, 4, 7)
+    assert p.main.second.span == Span(34, 37, 4, 9)
 
 
 def test_printer_emits_core_forms_only():

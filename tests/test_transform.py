@@ -24,7 +24,7 @@ from tmc_forge.transform import (
     transform_program,
 )
 
-from conftest import load
+from conftest import load, marked_chain
 
 
 def fundefs(p: Program):
@@ -199,24 +199,7 @@ class TestErrorsAndDeterminism:
         # A marked map whose Cons case is 300 nested let/seq/match layers
         # (a third of each, interleaved) with the recursive call at the
         # bottom: the rewrite recurses about one frame per layer.
-        var, opens, closes = "x", [], []
-        for i in range(300):
-            if i % 3 == 0:
-                opens.append(f"(let v{i} (call add {var} {i % 10}) ")
-                closes.append(")")
-                var = f"v{i}"
-            elif i % 3 == 1:
-                opens.append(f"(seq (call add1 {var}) ")
-                closes.append(")")
-            else:
-                opens.append(f"(match {var} (case {i} (constr Nil)) (case v{i} ")
-                closes.append("))")
-                var = f"v{i}"
-        body = ("".join(opens) + f"(constr Cons {var} (call f rest))"
-                + "".join(reversed(closes)))
-        src = ("(program (letrec (fun (@ tail_mod_cons) f (xs) (match xs "
-               f"(case Nil (constr Nil)) (case (Cons x rest) {body}))))"
-               " (main (int 0)))")
+        src = marked_chain(300)
         t = transform_program(parse_program(src))
         assert set(fundefs(t)) == {"f", "f_dps"}
         assert well_formed(t) == []
