@@ -9,6 +9,7 @@ ambiguity when two constructor arguments compete for the single sub-context.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import count
 from typing import Optional
 
 from .ir import (
@@ -28,9 +29,11 @@ from .ir import (
     Path,
     Program,
     all_identifiers,
+    bind,
     children,
+    drive,
     iter_fundefs,
-    tmc_children,
+    path_of,
     with_children,
 )
 
@@ -98,7 +101,7 @@ class ScopeVerdict:
 
 
 def _is_direct_call(e: Expr, marks: MarkSet, env: ScopeEnv,
-                    value_scope: frozenset[str]) -> bool:
+                    value_scope) -> bool:
     """Call to a marked function by its function name (not through a binder)."""
 
     return (isinstance(e, Call)
@@ -118,71 +121,75 @@ class Candidate:
 
 def tmc_candidates(e: Expr, marks: MarkSet, env: ScopeEnv,
                    value_scope: frozenset[str] = frozenset(),
-                   path: Path = (), live: Optional[dict] = None) -> list[Candidate]:
+                   live: Optional[dict] = None) -> list[Candidate]:
     """Every eligible marked call in a tail-modulo-cons position of `e`,
     left to right; `value_scope` holds the value variables bound around it.
-    When given, `live` is filled with every path on the way down to a
-    candidate (the candidate's own included), mapped to whether an
-    annotated candidate lies below it."""
+
+    When given, `live` is filled for every node on the way down to a
+    candidate, the candidate included.  A node's key is (its parent's
+    pre-order number, its label), and (-1, "") for `e`; its value is (its
+    own pre-order number, or None for a candidate, and whether an
+    annotated candidate lies below it)."""
 
     out: list[Candidate] = []
+    scope = dict.fromkeys(value_scope, 1)
+    preorder = count()
 
-    def go(x: Expr, scope: frozenset[str], p: Path, under: bool):
+    def go(x: Expr, key: tuple, under: bool, at: tuple):
         """Whether an annotated candidate lies below x; None if none does."""
+        pos = next(preorder)
         if _is_direct_call(x, marks, env, scope):
             annotated = TAILCALL in x.attrs
-            out.append(Candidate(p, under, annotated))
+            out.append(Candidate(path_of(at), under, annotated))
+            pos = None
         else:
             annotated = None
-            for label, c, bound, in_constr in tmc_children(x):
-                below = go(c, scope.union(bound) if bound else scope,
-                           p + (label,), under or in_constr)
+            for label, c, bound, tmc in children(x):
+                if tmc is None:  # not a tail-modulo-cons position
+                    continue
+                bind(scope, bound, 1)
+                below = yield go(c, (pos, label), under or tmc, (label, at))
+                bind(scope, bound, -1)
                 if below is not None:
                     annotated = annotated or below
         if annotated is not None and live is not None:
-            live[p] = annotated
+            live[key] = (pos, annotated)
         return annotated
 
-    go(e, frozenset(value_scope), path, False)
+    drive(go(e, (-1, ""), False, ()))
     return out
 
 
-def has_candidate(e: Expr, marks: MarkSet, env: ScopeEnv,
-                  value_scope: frozenset[str] = frozenset()) -> bool:
-    """True iff some tail-modulo-cons position of `e` holds an eligible
-    marked call."""
-
-    return bool(tmc_candidates(e, marks, env, value_scope))
-
-
 def decompose_tmc(e: Expr, marks: MarkSet, env: ScopeEnv,
-                  value_scope: frozenset[str] = frozenset(),
-                  path: Path = ()) -> Decomposition:
+                  value_scope: frozenset[str] = frozenset()) -> Decomposition:
     """Compute the TMC context decomposition of `e`.
 
     Raises AnalysisError(AmbiguousTmc) when two constructor arguments
     contain candidates and annotations do not single one out.
     """
 
-    live: dict[Path, bool] = {}
-    cands = tmc_candidates(e, marks, env, value_scope, path, live)
-    call_paths = {c.path for c in cands}
+    live: dict[tuple, tuple] = {}
+    cands = tmc_candidates(e, marks, env, value_scope, live)
     holes: list[tuple[Expr, str]] = []
-    chosen: list[Path] = []
+    chosen: dict[int, int] = {}
     calls: set[int] = set()
 
-    def go(x: Expr, p: Path, under: bool) -> Expr:
-        if p in call_paths or p not in live:
-            if p in call_paths:
+    def go(x: Expr, key: tuple, under: bool, at: tuple):
+        entry = live.get(key)
+        if entry is None or entry[0] is None:  # not live, or a candidate
+            if entry is not None:
                 calls.add(len(holes))
             holes.append((x, STRICT_MOD_CONS if under else PLAIN_TAIL))
             return DecompHole(len(holes) - 1)
-        tails = [label for label, *_ in tmc_children(x)]
+        pos = entry[0]
+        kids = children(x)
+        tails = [label for label, _, _, tmc in kids if tmc is not None]
         if isinstance(x, Constr):
-            tails = [label for label in tails if p + (label,) in live]
+            tails = [label for label in tails if (pos, label) in live]
             if len(tails) > 1:
-                picked = [label for label in tails if live[p + (label,)]]
+                picked = [label for label in tails if live[pos, label][1]]
                 if len(picked) != 1:
+                    p = path_of(at)
                     raise AnalysisError(Diagnostic(
                         "Error", "AmbiguousTmc",
                         f"{len(tails)} constructor arguments contain TMC "
@@ -190,14 +197,50 @@ def decompose_tmc(e: Expr, marks: MarkSet, env: ScopeEnv,
                         x.span, p, candidate_paths=[
                             c.path for c in cands if c.path[:len(p)] == p]))
                 tails = picked
-            chosen.append(p + (tails[0],))
             under = True
         new = []
-        for label, c, _ in children(x):
-            new.append(go(c, p + (label,), under) if label in tails else c)
-        return with_children(x, new)
+        for i, (label, c, _, _) in enumerate(kids):
+            if label in tails:
+                c = yield go(c, (pos, label), under, (label, at))
+                j = i
+            new.append(c)
+        out = with_children(x, new)
+        if isinstance(x, Constr):
+            chosen[id(out)] = j
+        return out
 
-    return Decomposition(go(e, path, False), holes, chosen, calls)
+    return Decomposition(drive(go(e, (-1, ""), False, ())), holes, chosen, calls)
+
+
+def _visit_all(p: Program, visit) -> None:
+    """Call visit(e, env, scope, tail, under_constr, at) for every
+    expression e of p, after visiting its subexpressions.  `scope` holds
+    the value variables bound around e, `tail` says that e is in a
+    tail-modulo-cons position of its function or main, `under_constr` that
+    a constructor argument lies on the way there, and `at` is e's link
+    for `path_of`."""
+
+    def walk(e: Expr, env: ScopeEnv, scope: dict[str, int], tail: bool,
+             under: bool, at: tuple):
+        if isinstance(e, Letrec):
+            for f in e.group:
+                yield walk(f.body, env.enter(e.group, f),
+                           dict.fromkeys(f.params, 1), True, False, (f.name, at))
+        for label, c, bound, tmc in children(e):
+            bind(scope, bound, 1)
+            if tmc is None:
+                yield walk(c, env, scope, False, False, (label, at))
+            else:
+                yield walk(c, env, scope, tail, under or tmc, (label, at))
+            bind(scope, bound, -1)
+        visit(e, env, scope, tail, under, at)
+
+    root = ScopeEnv()
+    for gi, group in enumerate(p.groups):
+        for f in group:
+            drive(walk(f.body, root.enter(group, f), dict.fromkeys(f.params, 1),
+                       True, False, (f.name, (f"group{gi}", ()))))
+    drive(walk(p.main, root, {}, False, False, ("main", ())))
 
 
 def resolve_scope(p: Program, marks: MarkSet) -> ScopeVerdict:
@@ -205,32 +248,22 @@ def resolve_scope(p: Program, marks: MarkSet) -> ScopeVerdict:
 
     verdict = ScopeVerdict()
 
-    def walk_expr(e: Expr, env: ScopeEnv, scope: frozenset[str], path: Path):
+    def visit(e: Expr, env: ScopeEnv, scope: dict, tail, under, at: tuple):
         if isinstance(e, Call) and e.callee in marks.marked and e.callee not in scope:
-            verdict.eligible_paths[path] = env.eligible(e.callee)
-        if isinstance(e, Letrec):
-            for f in e.group:
-                walk_expr(f.body, env.enter(e.group, f), frozenset(f.params),
-                          path + (f.name,))
-        for label, c, bound in children(e):
-            walk_expr(c, env, scope.union(bound) if bound else scope,
-                      path + (label,))
+            verdict.eligible_paths[path_of(at)] = env.eligible(e.callee)
 
-    root = ScopeEnv()
+    _visit_all(p, visit)
     for gi, group in enumerate(p.groups):
         for f in group:
-            fenv = root.enter(group, f)
-            params = frozenset(f.params)
-            walk_expr(f.body, fenv, params, (f"group{gi}", f.name))
             if TAIL_MOD_CONS in f.attrs and not any(
-                    c.under_constr
-                    for c in tmc_candidates(f.body, marks, fenv, params)):
+                    c.under_constr for c in tmc_candidates(
+                        f.body, marks, ScopeEnv().enter(group, f),
+                        frozenset(f.params))):
                 verdict.warnings.append(Diagnostic(
                     "Warning", "UselessMark",
                     f"'{f.name}' has no strictly-modulo-cons candidate; "
                     "its DPS version is trivial",
                     f.span, (f"group{gi}", f.name)))
-    walk_expr(p.main, root, frozenset(), ("main",))
     return verdict
 
 
@@ -244,19 +277,8 @@ def check_tailcall_annotations(p: Program, marks: MarkSet) -> list[Diagnostic]:
 
     diags: list[Diagnostic] = []
 
-    def walk(e: Expr, env: ScopeEnv, scope: frozenset[str], tail: bool,
-             under_constr: bool, path: Path):
-        if isinstance(e, Letrec):
-            for f in e.group:
-                walk(f.body, env.enter(e.group, f), frozenset(f.params), True,
-                     False, path + (f.name,))
-        tmc = {label: under for label, _, _, under in tmc_children(e)}
-        for label, c, bound in children(e):
-            if label in tmc:
-                walk(c, env, scope.union(bound) if bound else scope, tail,
-                     under_constr or tmc[label], path + (label,))
-            else:
-                walk(c, env, scope, False, False, path + (label,))
+    def visit(e: Expr, env: ScopeEnv, scope: dict, tail: bool,
+              under_constr: bool, at: tuple):
         if isinstance(e, Call) and TAILCALL in e.attrs:
             direct = _is_direct_call(e, marks, env, scope)
             # Holds in a plain tail position, or a TMC one that is rewritten.
@@ -266,12 +288,7 @@ def check_tailcall_annotations(p: Program, marks: MarkSet) -> list[Diagnostic]:
                     sev, "TailcallNotSatisfiable",
                     f"(@ tailcall) on call to '{e.callee}' cannot become "
                     "a tail call here",
-                    e.span, path))
+                    e.span, path_of(at)))
 
-    root = ScopeEnv()
-    for gi, group in enumerate(p.groups):
-        for f in group:
-            walk(f.body, root.enter(group, f), frozenset(f.params), True,
-                 False, (f"group{gi}", f.name))
-    walk(p.main, root, frozenset(), False, False, ("main",))
+    _visit_all(p, visit)
     return diags

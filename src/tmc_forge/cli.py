@@ -137,9 +137,7 @@ def _bench_table(rows: list[BenchRow]) -> str:
 
 
 def cmd_parse(args) -> int:
-    p = _load(args.file)
-    out = print_program(p)
-    _write_out(args, out)
+    _write_out(args, _load(args.file))
     return 0
 
 
@@ -151,16 +149,18 @@ def cmd_transform(args) -> int:
         return 1
     finally:
         _emit_diags(diags, args.file)
-    _write_out(args, print_program(out))
+    _write_out(args, out)
     return 0
 
 
-def _write_out(args, text: str) -> None:
-    if getattr(args, "out", None):
+def _write_out(args, program: Program) -> None:
+    if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+            print_program(program, fh.write)
+            fh.write("\n")
     else:
-        print(text)
+        print_program(program, sys.stdout.write)
+        sys.stdout.write("\n")
 
 
 def cmd_run(args) -> int:
@@ -285,10 +285,6 @@ def main(argv=None) -> int:
         return 2
     except BadSpec as exc:
         print(f"usage error: {exc}", file=sys.stderr)
-        return 1
-    except RecursionError:  # only the front end recurses
-        print(f"ERROR NestingTooDeep {args.file}: the program nests too "
-              f"deeply for the front end", file=sys.stderr)
         return 1
 
 

@@ -7,6 +7,7 @@ the host `random` module is deliberately not used.
 
 from __future__ import annotations
 
+from .ir import drive
 from .runtime import LBlock, LFun, LInt, Lit, list_lit
 
 _MASK = (1 << 64) - 1
@@ -91,15 +92,16 @@ def gen_value(spec: str, rng: Lcg) -> Lit:
                     inner if inner is not None else rng.below(4)))
                 for _ in range(n))
         if name == "tree":
-            return _gen_tree(n, rng)
+            return drive(_gen_tree(n, rng))
         return gen_cmmlike(n, rng)
     raise BadSpec(f"bad generator spec {spec!r}")
 
 
-def _gen_tree(depth: int, rng: Lcg) -> Lit:
+def _gen_tree(depth: int, rng: Lcg):  # a walker for `drive`
     if depth <= 0 or rng.below(4) == 0:
         return LBlock("Leaf", (LInt(rng.below(100)),))
-    return LBlock("Node", (_gen_tree(depth - 1, rng), _gen_tree(depth - 1, rng)))
+    return LBlock("Node", ((yield _gen_tree(depth - 1, rng)),
+                           (yield _gen_tree(depth - 1, rng))))
 
 
 def gen_cmmlike(n: int, rng: Lcg) -> Lit:

@@ -180,42 +180,50 @@ class DecompHole(Expr):
 class Decomposition:
     context: Expr
     holes: list[tuple[Expr, str]]  # (expression, PLAIN_TAIL | STRICT_MOD_CONS)
-    chosen_constructor_paths: list[tuple]
+    # id(constructor of the context) -> index of the argument that holds
+    # the rest of the context
+    chosen: dict[int, int]
     calls: set[int] = field(default_factory=set)  # holes that are eligible calls
 
 
 Path = tuple
 
 
-def children(e: Expr) -> list[tuple[str, Expr, tuple]]:
-    """(label, child, bound_names) for each direct subexpression of e, in
-    evaluation order; bound_names are the value variables the child sees
-    in addition to e's.  Labels are the path components used by diagnostics.
-    The bodies of a Letrec group are not children: they open a fresh scope.
+def children(e: Expr) -> list[tuple[str, Expr, tuple, Optional[bool]]]:
+    """(label, child, bound_names, tmc) for each direct subexpression of e,
+    in evaluation order; bound_names are the value variables the child sees
+    in addition to e's.  tmc is None unless the child is in a
+    tail-modulo-cons position -- Let.body, Seq.second, the Match clause
+    bodies, Letrec.body and the Constr arguments -- and then says whether
+    it is a constructor argument.  Every pass that follows TMC positions
+    derives them from here.  Labels are the path components used by
+    diagnostics.  The bodies of a Letrec group are not children: they open
+    a fresh scope.
     """
 
     if isinstance(e, (Call, Constr)):
-        return [(f"arg{i}", a, ()) for i, a in enumerate(e.args)]
+        tmc = True if isinstance(e, Constr) else None
+        return [(f"arg{i}", a, (), tmc) for i, a in enumerate(e.args)]
     if isinstance(e, Let):
-        return [("bound", e.bound, ()), ("body", e.body, (e.binder,))]
+        return [("bound", e.bound, (), None),
+                ("body", e.body, (e.binder,), False)]
     if isinstance(e, Seq):
-        return [("first", e.first, ()), ("second", e.second, ())]
+        return [("first", e.first, (), None), ("second", e.second, (), False)]
     if isinstance(e, Match):
-        return [("scrutinee", e.scrutinee, ())] + [
-            (f"clause{j}", b, tuple(pattern_vars(pt)))
+        return [("scrutinee", e.scrutinee, (), None)] + [
+            (f"clause{j}", b, tuple(pattern_vars(pt)), False)
             for j, (pt, b) in enumerate(e.clauses)]
     if isinstance(e, SetRef):
-        return [("dest", e.dest, ()), ("index", e.index, ()),
-                ("value", e.value, ())]
+        return [("dest", e.dest, (), None), ("index", e.index, (), None),
+                ("value", e.value, (), None)]
     if isinstance(e, Letrec):
-        return [("letrec_body", e.body, ())]
+        return [("letrec_body", e.body, (), False)]
     return []
 
 
 def with_children(e: Expr, new: list[Expr]) -> Expr:
     """e with `new` in place of its children (in `children` order); spans,
-    binders, patterns, attributes and Letrec groups are kept.  Walkers fill
-    `new` in a plain loop, so that they recurse in one frame per level."""
+    binders, patterns, attributes and Letrec groups are kept."""
 
     if isinstance(e, Call):
         return Call(e.callee, new, e.attrs, span=e.span)
@@ -235,39 +243,68 @@ def with_children(e: Expr, new: list[Expr]) -> Expr:
     return e
 
 
-def tmc_children(e: Expr) -> list[tuple[str, Expr, tuple, bool]]:
-    """The tail-modulo-cons positions directly below e, as
-    (label, child, bound_names, under_constr): Let.body, Seq.second, the
-    Match clause bodies, Letrec.body and the Constr arguments, which have
-    under_constr set.  Every pass that follows TMC positions derives them
-    from here."""
+def drive(walk):
+    """Run the walker generator `walk` to its end and return its value.
 
-    under = isinstance(e, Constr)
-    if under or isinstance(e, (Let, Seq, Match, Letrec)):
-        # Every child but the ones evaluated before the rest of the node.
-        return [(label, c, bound, under) for label, c, bound in children(e)
-                if label not in ("bound", "first", "scrutinee")]
-    return []
+    A walker hands each sub-walk to this loop as `r = yield sub(...)` and is
+    sent the sub-walk's value.  Suspended walkers wait on an explicit stack,
+    so the depth of a walk is bounded by memory, not by the host stack.
+    (`yield from` would nest C frames instead.)"""
+
+    stack = [walk]
+    value = None
+    while stack:
+        try:
+            sub = stack[-1].send(value)
+            while True:  # start each new sub-walk, until one of them ends
+                stack.append(sub)
+                sub = sub.send(None)
+        except StopIteration as done:  # of the walk on top of the stack
+            stack.pop()
+            value = done.value
+    return value
+
+
+def bind(scope: dict[str, int], names, k: int) -> None:
+    """Add k (1 on entry, -1 on exit) to the count of each name in scope; a
+    name is in scope while its count is positive."""
+
+    for v in names:
+        scope[v] = scope.get(v, 0) + k
+        if not scope[v]:
+            del scope[v]
+
+
+def path_of(at: tuple) -> Path:
+    """The path of the link `at`.  Walkers hand each child the link
+    (label, parent's link); the root's link is ()."""
+
+    labels = []
+    while at:
+        label, at = at
+        labels.append(label)
+    return tuple(reversed(labels))
 
 
 def plug(d: Decomposition) -> Expr:
     """Rebuild the original expression from a decomposition."""
 
-    used = [0]
+    used = 0
 
-    def go(e: Expr) -> Expr:
+    def go(e: Expr):
+        nonlocal used
         if isinstance(e, DecompHole):
             if e.index >= len(d.holes):
                 raise ValueError("decomposition arity mismatch")
-            used[0] += 1
+            used += 1
             return d.holes[e.index][0]
         new = []
-        for _, c, _ in children(e):
-            new.append(go(c))
+        for _, c, _, _ in children(e):
+            new.append((yield go(c)))
         return with_children(e, new)
 
-    out = go(d.context)
-    if used[0] != len(d.holes):
+    out = drive(go(d.context))
+    if used != len(d.holes):
         raise ValueError("decomposition arity mismatch")
     return out
 
@@ -294,100 +331,93 @@ class Diagnostic:
         return f"{self.severity.upper()} {self.code} {loc} {self.message}"
 
 
-def pattern_vars(p: Pattern, acc: Optional[list[str]] = None) -> list[str]:
-    if acc is None:
-        acc = []
-    if isinstance(p, PVar):
-        acc.append(p.name)
-    elif isinstance(p, PConstr):
-        for sp in p.subpatterns:
-            pattern_vars(sp, acc)
-    return acc
+def pattern_vars(p: Pattern) -> list[str]:
+    """The variables p binds, left to right."""
+
+    out, stack = [], [p]
+    while stack:
+        x = stack.pop()
+        if isinstance(x, PVar):
+            out.append(x.name)
+        elif isinstance(x, PConstr):
+            stack.extend(reversed(x.subpatterns))
+    return out
 
 
 def well_formed(p: Program) -> list[Diagnostic]:
     """Check Program invariants; one diagnostic per violation."""
 
     diags: list[Diagnostic] = []
+    funcs: dict[str, int] = {}  # function names in scope, see `bind`
 
-    def check_expr(e: Expr, path: Path, scope: set[str], funcs: set[str],
-                   hole_ok: bool) -> None:
+    def error(code: str, message: str, span: Optional[Span], at: tuple) -> None:
+        diags.append(Diagnostic("Error", code, message, span, path_of(at)))
+
+    def check_expr(e: Expr, at: tuple, scope: dict[str, int], hole_ok: bool):
         if isinstance(e, Hole):
             if not hole_ok:
-                diags.append(Diagnostic(
-                    "Error", "MisplacedHole",
-                    "hole outside constructor-argument position",
-                    e.span, path))
-        elif isinstance(e, Call):
-            if (e.callee not in funcs and e.callee not in scope
-                    and e.callee not in BUILTINS):
-                diags.append(Diagnostic(
-                    "Error", "UnboundCallee",
-                    f"callee '{e.callee}' is not a function, binder or builtin",
-                    e.span, path))
+                error("MisplacedHole", "hole outside constructor-argument "
+                      "position", e.span, at)
+        elif isinstance(e, Call) and e.callee not in funcs and e.callee not in scope:
+            if e.callee not in BUILTINS:
+                error("UnboundCallee", f"callee '{e.callee}' is not a "
+                      "function, binder or builtin", e.span, at)
+            elif len(e.args) != BUILTINS[e.callee]:
+                error("ArityMismatch", f"{e.callee} takes {BUILTINS[e.callee]} "
+                      f"arguments, got {len(e.args)}", e.span, at)
         elif isinstance(e, Match):
             if not e.clauses:
-                diags.append(Diagnostic(
-                    "Error", "EmptyMatch", "match with no clauses", e.span, path))
+                error("EmptyMatch", "match with no clauses", e.span, at)
         elif isinstance(e, SetRef):
             if isinstance(e.index, Int) and e.index.n < 1:
-                diags.append(Diagnostic(
-                    "Error", "InvalidIndex",
-                    f"setref index {e.index.n} must be >= 1 (fields are 1-indexed)",
-                    e.span, path))
+                error("InvalidIndex", f"setref index {e.index.n} must be >= 1 "
+                      "(fields are 1-indexed)", e.span, at)
         elif isinstance(e, Letrec):
-            check_group(e.group, path + ("letrec",), scope, funcs)
-            funcs = funcs | {f.name for f in e.group}
-        elif not isinstance(e, (Var, Int, Let, Seq, Constr)):
+            bind(funcs, [f.name for f in e.group], 1)
+            yield check_group(e.group, ("letrec", at))
+        elif not isinstance(e, (Var, Int, Call, Let, Seq, Constr)):
             raise TypeError(f"unknown expression node {e!r}")
         patterns = ({f"clause{j}": pat for j, (pat, _) in enumerate(e.clauses)}
                     if isinstance(e, Match) else {})
-        for label, c, bound in children(e):
+        for label, c, bound, _ in children(e):
             seen: set[str] = set()
             for v in bound:
                 if v in seen:
-                    diags.append(Diagnostic(
-                        "Error", "DuplicatePatternVar",
-                        f"'{v}' bound twice in one pattern",
-                        patterns[label].span, path + (label,)))
+                    error("DuplicatePatternVar", f"'{v}' bound twice in one "
+                          "pattern", patterns[label].span, (label, at))
                 seen.add(v)
-            check_expr(c, path + (label,), scope | seen if seen else scope,
-                       funcs, isinstance(e, Constr))
+            bind(scope, seen, 1)
+            yield check_expr(c, (label, at), scope, isinstance(e, Constr))
+            bind(scope, seen, -1)
+        if isinstance(e, Letrec):
+            bind(funcs, [f.name for f in e.group], -1)
 
-    def check_group(group: list[FunDef], path: Path, scope: set[str],
-                    funcs: set[str]) -> None:
-        names = funcs | {f.name for f in group}
+    def check_group(group: list[FunDef], at: tuple):
         seen: set[str] = set()
         for f in group:
             if f.name in seen:
-                diags.append(Diagnostic(
-                    "Error", "DuplicateFunction",
-                    f"function '{f.name}' defined twice in one group",
-                    f.span, path))
+                error("DuplicateFunction", f"function '{f.name}' defined "
+                      "twice in one group", f.span, at)
             seen.add(f.name)
             if len(set(f.params)) != len(f.params):
-                diags.append(Diagnostic(
-                    "Error", "DuplicateParam",
-                    f"duplicate parameter in '{f.name}'", f.span, path))
+                error("DuplicateParam", f"duplicate parameter in '{f.name}'",
+                      f.span, at)
             if not f.params:
-                diags.append(Diagnostic(
-                    "Error", "NoParams",
-                    f"function '{f.name}' has no parameters", f.span, path))
+                error("NoParams", f"function '{f.name}' has no parameters",
+                      f.span, at)
             # Local function bodies do not see enclosing value variables.
-            check_expr(f.body, path + (f.name,), set(f.params), names, False)
+            yield check_expr(f.body, (f.name, at), dict.fromkeys(f.params, 1),
+                             False)
 
-    top: set[str] = set()
     for gi, group in enumerate(p.groups):
         for f in group:
-            if f.name in top:
-                diags.append(Diagnostic(
-                    "Error", "DuplicateFunction",
-                    f"function '{f.name}' defined twice at toplevel",
-                    f.span, (f"group{gi}",)))
-            top.add(f.name)
+            if f.name in funcs:
+                error("DuplicateFunction", f"function '{f.name}' defined "
+                      "twice at toplevel", f.span, (f"group{gi}", ()))
+            funcs[f.name] = 1
     for gi, group in enumerate(p.groups):
-        check_group(group, (f"group{gi}",), set(), top)
-    check_expr(p.main, ("main",), set(), top, False)
+        drive(check_group(group, (f"group{gi}", ())))
+    drive(check_expr(p.main, ("main", ()), {}, False))
     return diags
 
 
@@ -396,20 +426,16 @@ def iter_fundefs(p: Program) -> list[FunDef]:
     source order."""
 
     out: list[FunDef] = []
-
-    def from_expr(e: Expr) -> None:
-        if isinstance(e, Letrec):
-            for f in e.group:
-                out.append(f)
-                from_expr(f.body)
-        for _, c, _ in children(e):
-            from_expr(c)
-
-    for group in p.groups:
-        for f in group:
-            out.append(f)
-            from_expr(f.body)
-    from_expr(p.main)
+    stack: list = [p.main] + [f for g in reversed(p.groups) for f in reversed(g)]
+    while stack:
+        x = stack.pop()
+        if isinstance(x, FunDef):
+            out.append(x)
+            stack.append(x.body)
+            continue
+        stack.extend(reversed([c for _, c, _, _ in children(x)]))
+        if isinstance(x, Letrec):
+            stack.extend(reversed(x.group))
     return out
 
 
@@ -417,43 +443,35 @@ def all_identifiers(e: Union[Expr, Program]) -> set[str]:
     """Every identifier occurring anywhere (used to seed fresh-name pools)."""
 
     out: set[str] = set()
-
-    def pat(pt: Pattern):
-        if isinstance(pt, PVar):
-            out.add(pt.name)
-        elif isinstance(pt, PConstr):
-            out.add(pt.tag)
-            for s in pt.subpatterns:
-                pat(s)
-
-    def fun(f: FunDef):
-        out.add(f.name)
-        out.update(f.params)
-        go(f.body)
-
-    def go(x: Expr):
-        if isinstance(x, Var):
+    stack: list = [e]
+    while stack:
+        x = stack.pop()
+        t = x.__class__
+        if t is Var or t is PVar:
             out.add(x.name)
-        elif isinstance(x, Call):
-            out.add(x.callee)
-        elif isinstance(x, Let):
-            out.add(x.binder)
-        elif isinstance(x, Constr):
+            continue
+        if t is PConstr:
             out.add(x.tag)
-        elif isinstance(x, Match):
-            for pt, _ in x.clauses:
-                pat(pt)
-        elif isinstance(x, Letrec):
-            for f in x.group:
-                fun(f)
-        for _, c, _ in children(x):
-            go(c)
-
-    if isinstance(e, Program):
-        for group in e.groups:
-            for f in group:
-                fun(f)
-        go(e.main)
-    else:
-        go(e)
+            stack.extend(x.subpatterns)
+            continue
+        if t is FunDef:
+            out.add(x.name)
+            out.update(x.params)
+            stack.append(x.body)
+            continue
+        if t is Program:
+            stack.append(x.main)
+            stack.extend([f for g in x.groups for f in g])
+            continue
+        if t is Call:
+            out.add(x.callee)
+        elif t is Constr:
+            out.add(x.tag)
+        elif t is Let:
+            out.add(x.binder)
+        elif t is Match:
+            stack.extend([pt for pt, _ in x.clauses])
+        elif t is Letrec:
+            stack.extend(x.group)
+        stack.extend([c for _, c, _, _ in children(x)])
     return out

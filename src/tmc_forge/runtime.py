@@ -39,6 +39,7 @@ from .ir import (
     Seq,
     SetRef,
     Var,
+    drive,
 )
 
 DEFAULT_MAX_STACK = 1_000_000
@@ -244,30 +245,19 @@ def _operands(regs: list[int]):
 
 
 class _Compiler:
-    """Compiles one function body.  `expr` is written as a recursive
-    generator, but `run` drives it with an explicit stack: a generator
-    yields (expression, scope, function scope, dst) for a subexpression
-    and is sent the register that holds the subexpression's value."""
+    """Compiles one function body.  `expr` is a walker for `ir.drive`: it
+    yields the walk of each subexpression and is sent the register that
+    holds the subexpression's value."""
 
     def __init__(self, fn: _Fn, params: list[str], tail: bool, todo: list):
         self.fn, self.code, self.tail, self.todo = fn, fn.code, tail, todo
-        self.params = {p: i for i, p in enumerate(params)}  # the last wins
+        self.params = {p: [i] for i, p in enumerate(params)}  # the last wins
         self.nregs = len(params)
         self.consts: dict = {}
         self.pending = 0  # steps not yet attached to an instruction
 
     def run(self, body: Expr, fscope: dict) -> None:
-        stack = [self.expr(body, self.params, fscope, RET)]
-        reg = None
-        while stack:
-            try:
-                sub = stack[-1].send(reg)
-            except StopIteration as done:
-                stack.pop()
-                reg = done.value
-            else:
-                stack.append(self.expr(*sub))
-                reg = None
+        drive(self.expr(body, self.params, fscope, RET))
 
     def reg(self, value=None) -> int:
         self.fn.regs.append(value)
@@ -282,13 +272,14 @@ class _Compiler:
     def expr(self, e: Expr, scope: dict, fscope: dict, dst):
         """Compile e to leave its value in register dst, or in any register
         when dst is None, or to return it when dst is RET.  Returns the
-        register."""
+        register.  `scope` maps each value variable to the registers of its
+        binders, innermost last; a binder is in it only around its body."""
 
         self.pending += 1
         t = type(e)
         if t in (Var, Int, Hole):
-            if t is Var and e.name in scope:
-                r = scope[e.name]
+            if t is Var and scope.get(e.name):
+                r = scope[e.name][-1]
             elif t is Var and e.name not in fscope and e.name not in BUILTINS:
                 self.emit(FAIL, "UnboundName", e.name)
                 return self.reg()  # never read
@@ -305,27 +296,34 @@ class _Compiler:
                 self.emit(RETURN, r)
             return dst
         if t is Let:
-            r = yield e.bound, scope, fscope, None
-            return (yield e.body, {**scope, e.binder: r}, fscope, dst)
+            r = yield self.expr(e.bound, scope, fscope, None)
+            scope.setdefault(e.binder, []).append(r)
+            r = yield self.expr(e.body, scope, fscope, dst)
+            scope[e.binder].pop()
+            return r
         if t is Seq:
-            yield e.first, scope, fscope, None
-            return (yield e.second, scope, fscope, dst)
+            yield self.expr(e.first, scope, fscope, None)
+            return (yield self.expr(e.second, scope, fscope, dst))
         if t is Letrec:
             inner = dict(fscope)
             for f in e.group:
                 inner[f.name] = fn = _Fn(f.name, len(f.params))
                 self.todo.append((fn, f, inner))
-            return (yield e.body, scope, inner, dst)
+            return (yield self.expr(e.body, scope, inner, dst))
         if dst is None:
             dst = self.reg()
         if t is Match:
-            r = yield e.scrutinee, scope, fscope, None
+            r = yield self.expr(e.scrutinee, scope, fscope, None)
             at = self.emit(MATCH)
             clauses, jumps = [], []
             for j, (pat, body) in enumerate(e.clauses):
                 clause, binds = self.pattern(pat)
                 clauses.append((*clause, len(self.code)))
-                yield body, {**scope, **binds}, fscope, dst
+                for v, reg in binds.items():
+                    scope.setdefault(v, []).append(reg)
+                yield self.expr(body, scope, fscope, dst)
+                for v in binds:
+                    scope[v].pop()
                 if dst >= 0 and j < len(e.clauses) - 1:
                     jumps.append(self.emit(JUMP))
             self.code[at] = (MATCH, self.code[at][1], r, tuple(clauses), *(None,) * 3)
@@ -336,7 +334,7 @@ class _Compiler:
             raise TypeError(f"cannot evaluate {e!r}")
         regs = []
         for a in ([e.dest, e.index, e.value] if t is SetRef else e.args):
-            regs.append((yield a, scope, fscope, None))
+            regs.append((yield self.expr(a, scope, fscope, None)))
         if t is Constr:
             self.emit(ALLOC, e.tag, _operands(regs), dst)
         elif t is SetRef:
@@ -344,8 +342,9 @@ class _Compiler:
         else:
             out = self.reg() if dst == RET and not self.tail else dst
             args = _operands(regs)
-            if e.callee in scope:
-                self.emit(DYNCALL, scope[e.callee], args, out, fscope, e.callee)
+            if scope.get(e.callee):
+                self.emit(DYNCALL, scope[e.callee][-1], args, out, fscope,
+                          e.callee)
             elif e.callee in fscope:
                 self.emit(CALL, fscope[e.callee], args, out)
             elif e.callee in BUILTINS:

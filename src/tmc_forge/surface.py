@@ -35,7 +35,6 @@ from .ir import (
     TAILCALL,
     Call,
     Constr,
-    Expr,
     FunDef,
     Hole,
     Int,
@@ -46,12 +45,12 @@ from .ir import (
     PInt,
     PVar,
     PWild,
-    Pattern,
     Program,
     Seq,
     SetRef,
     Span,
     Var,
+    drive,
 )
 
 
@@ -172,7 +171,11 @@ def _attrs(rest: list, allowed: set[str]) -> tuple[frozenset[str], list]:
     return frozenset(out), rest[1:]
 
 
-def build_expr(node) -> Expr:
+# build_expr, build_pattern and build_fundef are walkers for `ir.drive`: each
+# yields the walks of its subforms and is sent what they build.
+
+
+def build_expr(node):
     if isinstance(node, Atom):
         if _is_int(node.text):
             return Int(int(node.text), span=node.span)
@@ -202,53 +205,52 @@ def build_expr(node) -> Expr:
         attrs, rest = _attrs(rest, {TAILCALL})
         if not rest or not isinstance(rest[0], Atom):
             raise _err(node, "call needs a callee symbol")
-        return Call(rest[0].text, [build_expr(a) for a in rest[1:]], attrs, span=sp)
+        return Call(rest[0].text, (yield _build_each(rest[1:])), attrs, span=sp)
     if head == "let":
         need(3, "binder, bound, body")
         if not isinstance(rest[0], Atom):
             raise _err(node, "let binder must be a symbol")
-        return Let(rest[0].text, build_expr(rest[1]), build_expr(rest[2]), span=sp)
+        return Let(rest[0].text, *(yield _build_each(rest[1:])), span=sp)
     if head == "seq":
         need(2, "two expressions")
-        return Seq(build_expr(rest[0]), build_expr(rest[1]), span=sp)
+        return Seq(*(yield _build_each(rest)), span=sp)
     if head == "constr":
         if not rest or not isinstance(rest[0], Atom):
             raise _err(node, "constr needs a tag symbol")
-        return Constr(rest[0].text, [build_expr(a) for a in rest[1:]], span=sp)
+        return Constr(rest[0].text, (yield _build_each(rest[1:])), span=sp)
     if head == "match":
         if len(rest) < 2:
             raise _err(node, "match needs a scrutinee and at least one clause")
-        scrut = build_expr(rest[0])
+        scrut = yield build_expr(rest[0])
         clauses = []
         for c in rest[1:]:
             if not isinstance(c, SList) or _head(c) != "case" or len(c.items) != 3:
                 raise _err(c, "expected (case pat expr)")
-            clauses.append((build_pattern(c.items[1]), build_expr(c.items[2])))
+            clauses.append(((yield build_pattern(c.items[1])),
+                            (yield build_expr(c.items[2]))))
         return Match(scrut, clauses, span=sp)
     if head == "setref":
         need(3, "dest, index, value")
-        return SetRef(build_expr(rest[0]), build_expr(rest[1]), build_expr(rest[2]),
-                      span=sp)
+        return SetRef(*(yield _build_each(rest)), span=sp)
     if head == "hole":
         need(0, "nothing")
         return Hole(span=sp)
     if head == "letrec":
         if len(rest) < 2:
             raise _err(node, "letrec needs at least one fundef and a body")
-        return Letrec([build_fundef(f) for f in rest[:-1]], build_expr(rest[-1]),
-                      span=sp)
+        return Letrec((yield _build_each(rest[:-1], build_fundef)),
+                      (yield build_expr(rest[-1])), span=sp)
     if head == "if":
         need(3, "condition, then, else")
-        return Match(build_expr(rest[0]),
-                     [(PConstr("True", []), build_expr(rest[1])),
-                      (PConstr("False", []), build_expr(rest[2]))],
-                     span=sp)
+        cond, then, else_ = yield _build_each(rest)
+        return Match(cond, [(PConstr("True", []), then),
+                            (PConstr("False", []), else_)], span=sp)
     if head == "tuple":
-        return Constr("Tuple", [build_expr(a) for a in rest], span=sp)
+        return Constr("Tuple", (yield _build_each(rest)), span=sp)
     raise _err(node, f"unknown form '{head}'")
 
 
-def build_pattern(node) -> Pattern:
+def build_pattern(node):
     if isinstance(node, Atom):
         if node.text == "_":
             return PWild(span=node.span)
@@ -262,10 +264,11 @@ def build_pattern(node) -> Pattern:
     if not node.items or not isinstance(node.items[0], Atom):
         raise _err(node, "constructor pattern needs a tag symbol")
     return PConstr(node.items[0].text,
-                   [build_pattern(p) for p in node.items[1:]], span=node.span)
+                   (yield _build_each(node.items[1:], build_pattern)),
+                   span=node.span)
 
 
-def build_fundef(node) -> FunDef:
+def build_fundef(node):
     if not isinstance(node, SList) or _head(node) != "fun":
         raise _err(node, "expected (fun ...)")
     attrs, rest = _attrs(node.items[1:], {TAIL_MOD_CONS})
@@ -278,7 +281,15 @@ def build_fundef(node) -> FunDef:
         params.append(p.text)
     if not params:
         raise _err(rest[1], "function needs at least one parameter")
-    return FunDef(rest[0].text, params, build_expr(rest[2]), attrs, span=node.span)
+    return FunDef(rest[0].text, params, (yield build_expr(rest[2])), attrs,
+                  span=node.span)
+
+
+def _build_each(nodes: list, build=build_expr):
+    out = []
+    for n in nodes:
+        out.append((yield build(n)))
+    return out
 
 
 def parse_program(text: str) -> Program:
@@ -300,13 +311,13 @@ def parse_program(text: str) -> Program:
                 raise _err(item, "letrec after main")
             if len(item.items) < 2:
                 raise _err(item, "letrec needs at least one fundef")
-            groups.append([build_fundef(f) for f in item.items[1:]])
+            groups.append(drive(_build_each(item.items[1:], build_fundef)))
         elif h == "main":
             if main is not None:
                 raise _err(item, "duplicate main")
             if len(item.items) != 2:
                 raise _err(item, "main takes one expression")
-            main = build_expr(item.items[1])
+            main = drive(build_expr(item.items[1]))
         else:
             raise _err(item, f"unknown toplevel form '{h}'")
     if main is None:
@@ -403,8 +414,9 @@ def _measure(roots) -> dict:
     return table
 
 
-def _render(root: list) -> str:
-    """Text of a top-level item list, which has no breaks, at indent 0."""
+def _render(root: list, write) -> None:
+    """Pass the text of a top-level item list, which has no breaks, at
+    indent 0 to `write` in chunks."""
 
     table = _measure(it[0] for it in root if it.__class__ is tuple)
     out = []
@@ -415,6 +427,9 @@ def _render(root: list) -> str:
         x = stack.pop()
         if x.__class__ is str:
             out.append(x)
+            if len(out) >= 1024:
+                write("".join(out))
+                out.clear()
             continue
         node, indent, flat = x
         width, items = table[id(node)]
@@ -430,11 +445,14 @@ def _render(root: list) -> str:
                 stack.append((it[0], 0, True))
             else:
                 stack.append((it[0], indent + it[1], flat))
-    return "".join(out)
+    write("".join(out))
 
 
-def print_program(p: Program) -> str:
-    """Canonical layout; parse_program(print_program(p)) == p."""
+def print_program(p: Program, write=None) -> str | None:
+    """Canonical layout; parse_program(print_program(p)) == p.
+
+    With `write`, the text goes to it in chunks and None is returned: the
+    text grows with the square of the nesting depth."""
 
     root = ["(program"]
     for group in p.groups:
@@ -443,4 +461,6 @@ def print_program(p: Program) -> str:
             root += ("\n    ", (f, 4))
         root.append(")")
     root += ("\n  (main ", (p.main, 8), "))")
-    return _render(root)
+    chunks: list[str] = []
+    _render(root, write or chunks.append)
+    return None if write else "".join(chunks)

@@ -45,7 +45,7 @@ from .ir import (
     Var,
     all_identifiers,
     children,
-    tmc_children,
+    drive,
     well_formed,
     with_children,
 )
@@ -98,25 +98,20 @@ class CLayer:
         return len(self.left) + 1
 
 
-class CCtx:
-    """Delayed one-hole nest of constructor applications (outermost first)."""
+def _plug(cctx: Optional[tuple], e: Expr) -> Expr:
+    """e in the delayed one-hole nest of constructor applications cctx:
+    None, or (innermost layer, the nest around it)."""
 
-    def __init__(self, layers: tuple = ()):
-        self.layers = layers
-
-    def __bool__(self) -> bool:
-        return bool(self.layers)
-
-    def extend(self, layer: CLayer) -> "CCtx":
-        return CCtx(self.layers + (layer,))
-
-    def plug(self, e: Expr) -> Expr:
-        for layer in reversed(self.layers):
-            e = Constr(layer.tag, list(layer.left) + [e] + list(layer.right))
-        return e
+    while cctx:
+        layer, cctx = cctx
+        e = Constr(layer.tag, list(layer.left) + [e] + list(layer.right))
+    return e
 
 
 class _Rewriter:
+    """The walkers are generators run by `ir.drive`: each yields its
+    sub-walks and is sent their results."""
+
     def __init__(self, marks: MarkSet, compress: bool = True):
         self.marks = marks
         self.compress = compress
@@ -125,22 +120,22 @@ class _Rewriter:
 
     # -- generic cleanup --------------------------------------------------
 
-    def scrub(self, e: Expr, env: ScopeEnv) -> Expr:
+    def scrub(self, e: Expr, env: ScopeEnv):
         """Strip consumed attributes and expand nested letrec groups."""
 
         if isinstance(e, Letrec):
-            return Letrec(self.rewrite_group(e.group, env),
-                          self.scrub(e.body, env), span=e.span)
+            group = yield self.rewrite_group(e.group, env)
+            return Letrec(group, (yield self.scrub(e.body, env)), span=e.span)
         new = []
-        for _, c, _ in children(e):
-            new.append(self.scrub(c, env))
+        for _, c, _, _ in children(e):
+            new.append((yield self.scrub(c, env)))
         if isinstance(e, Call):
             return Call(e.callee, new, frozenset(), span=e.span)
         return with_children(e, new)
 
     # -- function-level transforms ----------------------------------------
 
-    def rewrite_group(self, group: list[FunDef], outer: ScopeEnv) -> list[FunDef]:
+    def rewrite_group(self, group: list[FunDef], outer: ScopeEnv):
         """The direct version of every function of the group, each followed
         by its DPS version when marked.  Each body is decomposed once.  A
         nested group lies in the context of both versions of its enclosing
@@ -155,88 +150,92 @@ class _Rewriter:
             d = decompose_tmc(f.body, self.marks, env, frozenset(f.params))
             reserved = (all_identifiers(f.body) | set(f.params)
                         | set(self.marks.dps_name.values()))
-            body = self._ctx(d.context, d, None, CCtx(), env,
-                             FreshNamer(set(reserved)))
+            body = yield self._ctx(d.context, d, None, None, env,
+                                   FreshNamer(set(reserved)))
             out.append(FunDef(f.name, list(f.params), body, frozenset(),
                               span=f.span))
             if f.name in self.marks.marked:
-                out.append(self._dps_fun(f, d, env, FreshNamer(set(reserved))))
+                out.append((yield self._dps_fun(f, d, env,
+                                                FreshNamer(set(reserved)))))
         self.groups[id(group)] = (outer, out)
         return out
 
     def _dps_fun(self, f: FunDef, d: Decomposition, env: ScopeEnv,
-                 namer: FreshNamer) -> FunDef:
+                 namer: FreshNamer):
         dst = namer.fresh("dst") if "dst" in namer.used else "dst"
         idx = namer.fresh("idx") if "idx" in namer.used else "idx"
         namer.reserve((dst, idx))
-        body = self._ctx(d.context, d, Dest(dst, Var(idx)), CCtx(), env, namer)
+        body = yield self._ctx(d.context, d, Dest(dst, Var(idx)), None, env,
+                               namer)
         check_single_completion(body, self.marks)
         return FunDef(self.marks.dps_name[f.name], [dst, idx] + list(f.params),
                       body, frozenset(), span=f.span)
 
     # -- context rewrite: direct and DPS versions ------------------------
 
-    def _reify(self, dest: Dest, cctx: CCtx, namer: FreshNamer,
-               build_rest) -> Expr:
+    def _reify(self, dest: Dest, cctx: tuple, namer: FreshNamer):
         """Materialize the delayed context: allocate the innermost layer
-        with a Hole, write the whole nest into `dest`, continue with the
-        new hole as destination."""
+        with a Hole and write the whole nest into `dest`.  Returns the new
+        hole as destination, and the function that puts the code which
+        continues there after the allocation and the write."""
 
-        inner = cctx.layers[-1]
-        outer = CCtx(cctx.layers[:-1])
+        inner, outer = cctx
         d2 = namer.fresh("dst")
         alloc = Constr(inner.tag,
                        list(inner.left) + [Hole()] + list(inner.right))
-        write = dest.setref(outer.plug(Var(d2)))
-        rest = build_rest(Dest(d2, Int(inner.hole_index)))
-        return Let(d2, alloc, Seq(write, rest))
+        write = dest.setref(_plug(outer, Var(d2)))
+        return (Dest(d2, Int(inner.hole_index)),
+                lambda rest: Let(d2, alloc, Seq(write, rest)))
 
     def _ctx(self, node: Expr, d: Decomposition, dest: Optional[Dest],
-             cctx: CCtx, env: ScopeEnv, namer: FreshNamer) -> Expr:
+             cctx: Optional[tuple], env: ScopeEnv, namer: FreshNamer):
         """Rewrite the context `node` of `d` into the direct version of its
         function when `dest` is None, else into DPS code that writes the
-        result, wrapped in the delayed `cctx`, to `dest`."""
+        result, wrapped in the delayed `cctx` (see `_plug`), to `dest`."""
 
         if isinstance(node, DecompHole):
             expr = d.holes[node.index][0]
             if dest is None:
-                return self.scrub(expr, env)
+                return (yield self.scrub(expr, env))
             if node.index in d.calls:
                 if cctx:
-                    return self._reify(
-                        dest, cctx, namer,
-                        lambda dst2: self._dps_call(expr, dst2, env))
-                return self._dps_call(expr, dest, env)
-            return dest.setref(cctx.plug(self.scrub(expr, env)))
+                    dest, wrap = self._reify(dest, cctx, namer)
+                    return wrap((yield self._dps_call(expr, dest, env)))
+                return (yield self._dps_call(expr, dest, env))
+            return dest.setref(_plug(cctx, (yield self.scrub(expr, env))))
         if isinstance(node, Constr):
             if dest is None:
                 # The constructor rule: switch to DPS inside the allocation.
-                dvar, alloc, inner = self._open(node, d, env, namer)
+                dvar, alloc, inner = yield self._open(node, d, env, namer)
                 return Let(dvar, alloc, Seq(inner, Var(dvar)))
-            return self._dps_constr(node, d, dest, cctx, env, namer)
+            return (yield self._dps_constr(node, d, dest, cctx, env, namer))
         if isinstance(node, Match) and cctx and len(node.clauses) >= 2:
             # A multi-branch match would duplicate the delayed context.
-            return self._reify(
-                dest, cctx, namer,
-                lambda dst2: self._ctx(node, d, dst2, CCtx(), env, namer))
+            dest, wrap = self._reify(dest, cctx, namer)
+            return wrap((yield self._ctx(node, d, dest, None, env, namer)))
         if isinstance(node, Letrec):
-            group = self.rewrite_group(node.group, env)
-            return Letrec(group, self._ctx(node.body, d, dest, cctx, env, namer),
+            group = yield self.rewrite_group(node.group, env)
+            return Letrec(group,
+                          (yield self._ctx(node.body, d, dest, cctx, env, namer)),
                           span=node.span)
-        tails = {label for label, *_ in tmc_children(node)}
         new = []
-        for label, c, _ in children(node):
-            new.append(self._ctx(c, d, dest, cctx, env, namer) if label in tails
-                       else self.scrub(c, env))
+        for _, c, _, tmc in children(node):
+            if tmc is not None:
+                c = yield self._ctx(c, d, dest, cctx, env, namer)
+            else:
+                c = yield self.scrub(c, env)
+            new.append(c)
         return with_children(node, new)
 
-    def _split(self, node: Constr, env: ScopeEnv):
+    def _split(self, node: Constr, d: Decomposition, env: ScopeEnv):
         """The index of the argument holding the context, and the scrubbed
         arguments left and right of it."""
 
-        j = next(i for i, a in enumerate(node.args) if _contains_hole(a))
-        return (j, [self.scrub(a, env) for a in node.args[:j]],
-                [self.scrub(a, env) for a in node.args[j + 1:]])
+        j = d.chosen[id(node)]
+        args = []
+        for i, a in enumerate(node.args):
+            args.append(a if i == j else (yield self.scrub(a, env)))
+        return j, args[:j], args[j + 1:]
 
     def _open(self, node: Constr, d: Decomposition, env: ScopeEnv,
               namer: FreshNamer):
@@ -244,19 +243,20 @@ class _Rewriter:
         the block variable, the allocation, and that argument's DPS rewrite
         into the hole."""
 
-        j, left, right = self._split(node, env)
+        j, left, right = yield self._split(node, d, env)
         dvar = namer.fresh("dst")
         alloc = Constr(node.tag, left + [Hole()] + right, span=node.span)
-        return dvar, alloc, self._ctx(node.args[j], d, Dest(dvar, Int(j + 1)),
-                                      CCtx(), env, namer)
+        inner = yield self._ctx(node.args[j], d, Dest(dvar, Int(j + 1)), None,
+                                env, namer)
+        return dvar, alloc, inner
 
     def _dps_constr(self, node: Constr, d: Decomposition, dest: Dest,
-                    cctx: CCtx, env: ScopeEnv, namer: FreshNamer) -> Expr:
+                    cctx: Optional[tuple], env: ScopeEnv, namer: FreshNamer):
         if not self.compress:
             # Naive constructor rule: allocate and write immediately.
-            dvar, alloc, inner = self._open(node, d, env, namer)
+            dvar, alloc, inner = yield self._open(node, d, env, namer)
             return Let(dvar, alloc, Seq(dest.setref(Var(dvar)), inner))
-        j, left_exprs, right_exprs = self._split(node, env)
+        j, left_exprs, right_exprs = yield self._split(node, d, env)
         binds: list[tuple[str, Expr]] = []
 
         def atom(e: Expr) -> Expr:
@@ -269,24 +269,17 @@ class _Rewriter:
         left_atoms = tuple(atom(e) for e in left_exprs)
         right_atoms = tuple(atom(e) for e in right_exprs)
         layer = CLayer(node.tag, left_atoms, right_atoms)
-        out = self._ctx(node.args[j], d, dest, cctx.extend(layer), env, namer)
+        out = yield self._ctx(node.args[j], d, dest, (layer, cctx), env, namer)
         for v, e in reversed(binds):
             out = Let(v, e, out)
         return out
 
-    def _dps_call(self, call: Call, dest: Dest, env: ScopeEnv) -> Expr:
-        return Call(self.marks.dps_name[call.callee],
-                    [Var(dest.block), dest.index]
-                    + [self.scrub(a, env) for a in call.args],
-                    frozenset(), span=call.span)
-
-def _contains_hole(e: Expr) -> bool:
-    if isinstance(e, DecompHole):
-        return True
-    for _, c, _, _ in tmc_children(e):
-        if _contains_hole(c):
-            return True
-    return False
+    def _dps_call(self, call: Call, dest: Dest, env: ScopeEnv):
+        args = [Var(dest.block), dest.index]
+        for a in call.args:
+            args.append((yield self.scrub(a, env)))
+        return Call(self.marks.dps_name[call.callee], args, frozenset(),
+                    span=call.span)
 
 
 def check_single_completion(body: Expr, marks: MarkSet) -> None:
@@ -294,23 +287,17 @@ def check_single_completion(body: Expr, marks: MarkSet) -> None:
     destination write or one call to a DPS companion."""
 
     dps_names = set(marks.dps_name.values())
-
-    def tail_leaf_ok(e: Expr) -> bool:
-        if isinstance(e, SetRef):
-            return True
-        if isinstance(e, Call):
-            return e.callee in dps_names
+    stack = [body]
+    while stack:
+        e = stack.pop()
+        if isinstance(e, SetRef) or (isinstance(e, Call)
+                                     and e.callee in dps_names):
+            continue
         if not isinstance(e, (Let, Seq, Match, Letrec)):
-            return False
-        for _, c, _, _ in tmc_children(e):
-            if not tail_leaf_ok(c):
-                return False
-        return True
-
-    if not tail_leaf_ok(body):
-        raise AssertionError(
-            "internal error: a control path of a DPS body does not end in a "
-            "destination write or DPS call")
+            raise AssertionError(
+                "internal error: a control path of a DPS body does not end "
+                "in a destination write or DPS call")
+        stack.extend(c for _, c, _, tmc in children(e) if tmc is not None)
 
 
 def transform_program(p: Program, compress: bool = True,
@@ -332,8 +319,8 @@ def transform_program(p: Program, compress: bool = True,
     rw = _Rewriter(marks, compress)
     root = ScopeEnv()
     try:
-        groups = [rw.rewrite_group(g, root) for g in p.groups]
-        main = rw.scrub(p.main, root)
+        groups = [drive(rw.rewrite_group(g, root)) for g in p.groups]
+        main = drive(rw.scrub(p.main, root))
     except AnalysisError as exc:
         if diagnostics is not None:
             diagnostics.append(exc.diagnostic)

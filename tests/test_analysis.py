@@ -9,8 +9,8 @@ from tmc_forge.analysis import (
     check_tailcall_annotations,
     collect_marks,
     decompose_tmc,
-    has_candidate,
     resolve_scope,
+    tmc_candidates,
 )
 from tmc_forge.ir import (
     PLAIN_TAIL,
@@ -58,7 +58,7 @@ class TestCandidates:
     def test_map_body_has_candidate(self):
         p = load("map.tmc")
         marks, env, f = marked_env(p, "map")
-        assert has_candidate(f.body, marks, env)
+        assert tmc_candidates(f.body, marks, env)
 
     def test_shadowed_callee_is_not_a_candidate(self):
         p = parse_program(
@@ -68,12 +68,12 @@ class TestCandidates:
         marks, env, f = marked_env(p, "f")
         # `f` is rebound as a value; the inner call goes through the
         # binder and must not be treated as a TMC candidate.
-        assert not has_candidate(f.body, marks, env)
+        assert not tmc_candidates(f.body, marks, env)
 
     def test_candidate_outside_marked_scope_needs_group(self):
         p = load("map_toplevel_call.tmc")
         marks = collect_marks(p)
-        assert not has_candidate(p.main, marks, ScopeEnv())
+        assert not tmc_candidates(p.main, marks, ScopeEnv())
 
 
 class TestDecompose:
@@ -83,7 +83,8 @@ class TestDecompose:
         d = decompose_tmc(f.body, marks, env)
         kinds = [k for _, k in d.holes]
         assert kinds == [PLAIN_TAIL, STRICT_MOD_CONS]
-        assert d.chosen_constructor_paths == [("clause1", "body", "arg1")]
+        # The Cons in the body of the second clause continues in its arg1.
+        assert d.chosen == {id(d.context.clauses[1][1].body): 1}
         assert plug(d) == f.body
 
     def test_ambiguous_two_candidate_paths(self):
@@ -100,7 +101,7 @@ class TestDecompose:
         marks, env, f = marked_env(p, "tree_map")
         d = decompose_tmc(f.body, marks, env)
         # Second Node argument chosen; first stays an ordinary expression.
-        assert d.chosen_constructor_paths == [("clause1", "arg1")]
+        assert d.chosen == {id(d.context.clauses[1][1]): 1}
         assert plug(d) == f.body
 
     def test_trivial_body_is_one_plain_hole(self):

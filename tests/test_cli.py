@@ -162,6 +162,33 @@ class TestRun:
         assert err == ("ERROR ArityMismatch ArityMismatch: add takes 2 "
                        "arguments, got 1\n")
 
+    def test_builtin_arity_is_a_static_error_for_transform(self, tmp_path,
+                                                           capsys):
+        src = tmp_path / "arity.tmc"
+        src.write_text("(program (letrec (fun f (x) (call add x)))"
+                       " (main (int 0)))")
+        code, out, err = run_main(capsys, "transform", str(src))
+        assert code == 1 and out == ""
+        assert err == (f"ERROR ArityMismatch {src}:1:28 add takes 2 "
+                       "arguments, got 1\n")
+        # Without --transform the call only fails when it runs.
+        code, out, err = run_main(capsys, "run", str(src), "--entry", "f",
+                                  "--arg", "1")
+        assert code == 2 and out == ""
+        assert err == ("ERROR ArityMismatch ArityMismatch: add takes 2 "
+                       "arguments, got 1\n")
+
+    @pytest.mark.parametrize("program", [
+        "(program (letrec (fun add (x) x)) (main (call add 1)))",
+        "(program (letrec (fun f (add) (call add 1))) (main (int 0)))",
+    ])
+    def test_shadowed_builtin_has_no_static_arity(self, tmp_path, capsys,
+                                                  program):
+        src = tmp_path / "shadow.tmc"
+        src.write_text(program)
+        code, _, err = run_main(capsys, "transform", str(src))
+        assert code == 0 and err == ""
+
     def test_builtin_arity_through_a_function_value(self, tmp_path, capsys):
         src = tmp_path / "apply.tmc"
         src.write_text("(program (letrec (fun app (f x) (call f x)))"
@@ -373,11 +400,16 @@ class TestExitPaths:
         assert print_program(parse_program(text)) == text
 
     @pytest.mark.parametrize("command", ["parse", "transform"])
-    def test_nesting_too_deep_for_the_front_end(self, tmp_path, capsys,
-                                                command):
-        src = tmp_path / "deep.tmc"
-        src.write_text(marked_chain(3000))
-        code, out, err = run_main(capsys, command, str(src))
-        assert code == 1 and out == ""
-        assert err == (f"ERROR NestingTooDeep {src}: the program nests too "
-                       "deeply for the front end\n")
+    def test_marked_chain_of_depth_2000_round_trips(self, tmp_path, capsys,
+                                                    command):
+        src, dest = tmp_path / "deep.tmc", tmp_path / "out.tmc"
+        src.write_text(marked_chain(2000))
+        code, out, err = run_main(capsys, command, str(src), "--out", str(dest))
+        assert code == 0 and out == "" and err == ""
+        text = dest.read_text()
+        assert text.endswith(")\n")
+        text = text[:-1]
+        # Compared as text: dataclass equality this deep would recurse.
+        assert print_program(parse_program(text)) == text
+        if command == "transform":
+            assert "(fun f_dps " in text

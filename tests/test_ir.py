@@ -106,14 +106,14 @@ class TestPlug:
         d = Decomposition(
             Constr("Cons", [Var("y"), DecompHole(0)]),
             [(Call("map", [Var("f"), Var("rest")]), PLAIN_TAIL)],
-            [(("arg1",))])
+            {})
         assert plug(d) == e
 
     def test_plug_checks_arity(self):
-        d = Decomposition(DecompHole(0), [], [])
+        d = Decomposition(DecompHole(0), [], {})
         with pytest.raises(ValueError):
             plug(d)
-        d2 = Decomposition(Int(1), [(Int(2), PLAIN_TAIL)], [])
+        d2 = Decomposition(Int(1), [(Int(2), PLAIN_TAIL)], {})
         with pytest.raises(ValueError):
             plug(d2)
 
@@ -121,7 +121,7 @@ class TestPlug:
         ctx = Let("a", Int(1),
                   Seq(Int(2),
                       Match(Var("a"), [(PVar("b"), DecompHole(0))])))
-        d = Decomposition(ctx, [(Var("b"), PLAIN_TAIL)], [])
+        d = Decomposition(ctx, [(Var("b"), PLAIN_TAIL)], {})
         out = plug(d)
         assert isinstance(out, Let)
         assert out.body.second.clauses[0][1] == Var("b")
