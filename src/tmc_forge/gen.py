@@ -8,7 +8,7 @@ the host `random` module is deliberately not used.
 from __future__ import annotations
 
 from .ir import drive
-from .runtime import LBlock, LFun, LInt, Lit, list_lit
+from .runtime import Block, Value
 
 _MASK = (1 << 64) - 1
 _MUL = 6364136223846793005
@@ -51,20 +51,20 @@ def at_size(spec: str, size: int) -> str:
                                  for f in arg.split("x"))
 
 
-def gen_value(spec: str, rng: Lcg) -> Lit:
-    """Build an input literal from a generator spec.
+def gen_value(spec: str, rng: Lcg) -> Value:
+    """Build an input value from a generator spec.
 
     Specs: a bare integer, `int`, `list:<n>`, `sortedlist:<n>`,
     `tree:<depth>`, `cmmlike:<n>`, `fun:<name>`.
     """
 
     if spec.lstrip("-").isdigit() and spec.lstrip("-"):
-        return LInt(int(spec))
+        return int(spec)
     if spec == "int":
-        return LInt(rng.below(100))
+        return rng.below(100)
     name, _, arg = spec.partition(":")
     if name == "fun" and arg:
-        return LFun(arg)
+        return arg
     if name in SIZED:
         inner = None
         if name == "listof" and "x" in arg:
@@ -80,15 +80,14 @@ def gen_value(spec: str, rng: Lcg) -> Lit:
         if n < 0 or (inner is not None and inner < 0):
             raise BadSpec(f"bad generator spec {spec!r}")
         if name == "list":
-            return list_lit(LInt(rng.below(100)) for _ in range(n))
+            return list_value(rng.below(100) for _ in range(n))
         if name == "sortedlist":
-            vals = sorted(rng.below(100) for _ in range(n))
-            return list_lit(LInt(v) for v in vals)
+            return list_value(sorted(rng.below(100) for _ in range(n)))
         if name == "listof":
             # list of lists; input shape for flatten.  `listof:NxM` fixes
             # the inner length at M, otherwise it is short and random.
-            return list_lit(
-                list_lit(LInt(rng.below(100)) for _ in range(
+            return list_value(
+                list_value(rng.below(100) for _ in range(
                     inner if inner is not None else rng.below(4)))
                 for _ in range(n))
         if name == "tree":
@@ -97,37 +96,45 @@ def gen_value(spec: str, rng: Lcg) -> Lit:
     raise BadSpec(f"bad generator spec {spec!r}")
 
 
+def list_value(items) -> Block:
+    """The list of `items`, in order."""
+
+    out = Block("Nil", [])
+    for x in reversed(list(items)):
+        out = Block("Cons", [x, out])
+    return out
+
+
 def _gen_tree(depth: int, rng: Lcg):  # a walker for `drive`
     if depth <= 0 or rng.below(4) == 0:
-        return LBlock("Leaf", (LInt(rng.below(100)),))
-    return LBlock("Node", ((yield _gen_tree(depth - 1, rng)),
-                           (yield _gen_tree(depth - 1, rng))))
+        return Block("Leaf", [rng.below(100)])
+    return Block("Node", [(yield _gen_tree(depth - 1, rng)),
+                          (yield _gen_tree(depth - 1, rng))])
 
 
-def gen_cmmlike(n: int, rng: Lcg) -> Lit:
+def gen_cmmlike(n: int, rng: Lcg) -> Block:
     """Chain of n Clet/Csequence/Cifthenelse nodes nested in the tail
     (body / second / else) direction, ending in a constant leaf."""
 
-    node: Lit = LBlock("Cconst", (LInt(rng.below(100)),))
+    node = Block("Cconst", [rng.below(100)])
     for _ in range(n):
         k = rng.below(3)
-        leaf = LBlock("Cconst", (LInt(rng.below(100)),))
+        leaf = Block("Cconst", [rng.below(100)])
         if k == 0:
-            node = LBlock("Clet", (LInt(rng.below(100)), leaf, node))
+            node = Block("Clet", [rng.below(100), leaf, node])
         elif k == 1:
-            node = LBlock("Csequence", (leaf, node))
+            node = Block("Csequence", [leaf, node])
         else:
-            node = LBlock("Cifthenelse", (leaf, LBlock("Cconst", (LInt(1),)), node))
+            node = Block("Cifthenelse", [leaf, Block("Cconst", [1]), node])
     return node
 
 
-def gen_cmm_then_chain(n: int, rng: Lcg) -> Lit:
+def gen_cmm_then_chain(n: int, rng: Lcg) -> Block:
     """Cifthenelse nodes nested in the *then* direction; map_tail's stack
     grows linearly on this shape (the non-guarantee case)."""
 
-    node: Lit = LBlock("Cconst", (LInt(rng.below(100)),))
+    node = Block("Cconst", [rng.below(100)])
     for _ in range(n):
-        node = LBlock("Cifthenelse",
-                      (LBlock("Cconst", (LInt(0),)), node,
-                       LBlock("Cconst", (LInt(rng.below(100)),))))
+        node = Block("Cifthenelse", [Block("Cconst", [0]), node,
+                                     Block("Cconst", [rng.below(100)])])
     return node

@@ -7,7 +7,7 @@ import threading
 
 import pytest
 
-from tmc_forge import transform
+from tmc_forge import cli, transform
 from tmc_forge.cli import main
 from tmc_forge.gen import Lcg, gen_value
 from tmc_forge.surface import parse_program, print_program
@@ -240,6 +240,34 @@ class TestDiff:
         assert "trace_divergences=5" in out
         assert "TRACE-DIVERGENCE" in out
 
+    def test_failure_line_renders_inputs_and_results(self, tmp_path, capsys,
+                                                     monkeypatch):
+        src = tmp_path / "pair.tmc"
+        src.write_text("(program (letrec (fun f (x ys) (constr Pair x ys)))"
+                       " (main 0))")
+        swapped = parse_program("(program (letrec (fun f (x ys)"
+                                " (constr Pair ys x))) (main 0))")
+        monkeypatch.setattr(cli, "transform_program", lambda p: swapped)
+        code, out, err = run_main(capsys, "diff", str(src), "--entry", "f",
+                                  "--arg", "int", "--arg", "list:2",
+                                  "--trials", "1", "--seed", "1")
+        assert code == 2 and err == ""
+        assert out.splitlines() == [
+            "entry=f trials=1 failures=1 trace_divergences=0",
+            "FAIL seed=1000003 inputs=[24, (Cons 83 (Cons 18 Nil))] "
+            "lhs=(Pair 24 (Cons 83 (Cons 18 Nil))) "
+            "rhs=(Pair (Cons 83 (Cons 18 Nil)) 24)"]
+
+    def test_cyclic_result_is_a_runtime_error(self, tmp_path, capsys):
+        src = tmp_path / "cycle.tmc"
+        src.write_text("(program (letrec (fun f (x) (let p (constr Pair (hole) x)"
+                       " (seq (setref p 1 p) p)))) (main 0))")
+        code, out, err = run_main(capsys, "diff", str(src), "--entry", "f",
+                                  "--arg", "int")
+        assert code == 2 and out == ""
+        assert err == ("ERROR CyclicValue CyclicValue: value reaches itself"
+                       " through a field\n")
+
 class TestBench:
     def test_table_and_csv(self, capsys, tmp_path):
         dest = tmp_path / "m.csv"
@@ -349,10 +377,10 @@ class TestExitPaths:
         assert code == 0 and err == ""
         rng = Lcg(4)
         gen_value("fun:add1", rng)
-        xs, lit = [], gen_value("list:20000", rng)
-        while lit.args:
-            xs.append(lit.args[0].n)
-            lit = lit.args[1]
+        xs, v = [], gen_value("list:20000", rng)
+        while v.fields:
+            xs.append(v.fields[0])
+            v = v.fields[1]
         lines = out.splitlines()
         assert lines[0] == ("".join(f"(Cons {x + 1} " for x in xs) + "Nil"
                             + ")" * len(xs))

@@ -17,17 +17,8 @@ import sys
 import pytest
 
 from conftest import CORPUS, GOLDENS
-from tmc_forge.gen import Lcg, at_size, gen_value, mix_seed
-from tmc_forge.runtime import (
-    Interp,
-    LInt,
-    TmcRuntimeError,
-    VBlock,
-    VFun,
-    VInt,
-    eval_program,
-    list_lit,
-)
+from tmc_forge.gen import Lcg, at_size, gen_value, list_value, mix_seed
+from tmc_forge.runtime import Block, Interp, TmcRuntimeError, eval_program
 from tmc_forge.surface import parse_program
 from tmc_forge.transform import transform_program
 
@@ -35,15 +26,22 @@ GOLDEN = GOLDENS / "counters.json"
 SEED = 1
 SIZES = (0, 1, 10, 100, 1000)
 
-# The PLAN of scripts/bench_corpus.py, the four map_variants entries of the
-# paper's table, and noisy_constr_args for an effect trace whose order the
-# transformation changes.  A size field `N` takes the size.
-CASES = (
+# (file, entry, arg specs) for the list-shaped corpus programs; a size field
+# `N` takes the size.  `tmc-forge bench` prints the same table for one of
+# them over any sizes, for example:
+#   tmc-forge bench corpus/map.tmc --entry map --arg fun:add1 --arg list:N
+PLAN = (
     ("map.tmc", "map", ("fun:add1", "list:N")),
     ("filter.tmc", "filter", ("fun:is_small", "list:N")),
     ("umap.tmc", "umap", ("fun:add1", "list:N")),
     ("flatten_mutual.tmc", "flatten", ("listof:Nx5",)),
     ("map_tail.tmc", "map_tail", ("fun:bump", "cmmlike:N")),
+)
+
+# PLAN, the four map_variants entries of the paper's table, and
+# noisy_constr_args for an effect trace whose order the transformation
+# changes.
+CASES = PLAN + (
     ("map_variants.tmc", "map_direct", ("fun:add1", "list:N")),
     ("map_variants.tmc", "map_acc", ("fun:add1", "list:N")),
     ("map_variants.tmc", "map", ("fun:add1", "list:N")),
@@ -58,12 +56,12 @@ DOWN = """(program
       (case False (call add 1 (call down (call sub n 1)))))))
   (main 0))"""
 
-# name -> (source, entry, input literals, Interp limits)
+# name -> (source, entry, inputs, Interp limits)
 ERRORS = {
-    "StackLimit": (DOWN, "down", [LInt(100)], {"max_stack": 50}),
-    "StackLimit_entry": (DOWN, "down", [LInt(3)], {"max_stack": 0}),
+    "StackLimit": (DOWN, "down", [100], {"max_stack": 50}),
+    "StackLimit_entry": (DOWN, "down", [3], {"max_stack": 0}),
     "StepLimit": ("(program (letrec (fun spin (n) (call spin n))) (main 0))",
-                  "spin", [LInt(0)], {"max_steps": 1000}),
+                  "spin", [0], {"max_steps": 1000}),
     "NotAFunction": ("(program (letrec (fun apply (f x) (call f x)))"
                      " (main (call apply 3 4)))", "main", [], {}),
     "ArityMismatch": ("(program (letrec (fun f (x y) x)) (main (call f 1)))",
@@ -72,8 +70,8 @@ ERRORS = {
         "(program (letrec (fun f (x y) x) (fun apply (g x) (call g x)))"
         " (main (call apply f 1)))", "main", [], {}),
     "ArityMismatch_entry": ("(program (letrec (fun f (x y) x)) (main 0))",
-                            "f", [LInt(1)], {}),
-    "ArityMismatch_main": ("(program (main 0))", "main", [LInt(1)], {}),
+                            "f", [1], {}),
+    "ArityMismatch_main": ("(program (main 0))", "main", [1], {}),
     "UnboundName": ("(program (letrec (fun f (x) zzz)) (main (call f 1)))",
                     "main", [], {}),
     "UnboundName_callee": ("(program (letrec (fun f (x) (call g x)))"
@@ -107,13 +105,13 @@ ERRORS = {
 
 # Programs whose every step budget from 0 to one past their total is run:
 # the step at which StepLimit fires against effects, allocations and other
-# errors.  name -> (source, entry, input literals)
+# errors.  name -> (source, entry, inputs)
 SWEEPS = {
     "map": ((CORPUS / "map.tmc").read_text(), "main", []),
     "map_transformed": ((GOLDENS / "map_transformed.tmc").read_text(), "main",
                         []),
     "noisy": ((CORPUS / "noisy_constr_args.tmc").read_text(), "noisy",
-              [list_lit([LInt(1), LInt(2), LInt(3)])]),
+              [list_value([1, 2, 3])]),
     "unbound_after_print": ("(program (main (constr Pair (call print 1)"
                             " (seq (call print 2) zzz) (call print 3))))",
                             "main", []),
@@ -124,38 +122,52 @@ def digest(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
-def render(interp: Interp, v) -> str:
-    """The text of Interp.render, built without recursion."""
+def render(v) -> str:
+    """The text of Interp.render, built by the test's own walk."""
 
     out, stack = [], [v]
     while stack:
         x = stack.pop()
-        if isinstance(x, str):
-            out.append(x)
-        elif isinstance(x, VInt):
-            out.append(str(x.n))
-        elif isinstance(x, VFun):
-            out.append(f"<fun {x.name}>")
-        elif isinstance(x, VBlock):
-            blk = interp.blocks[x.addr]
-            if not blk.fields:
-                out.append(blk.tag)
+        if isinstance(x, Block):
+            if not x.fields:
+                out.append(x.tag)
                 continue
-            out.append("(" + blk.tag)
-            stack.append(")")
-            for f in reversed(blk.fields):
+            out.append("(" + x.tag)
+            stack.append((")",))
+            for f in reversed(x.fields):
                 stack.append(f)
-                stack.append(" ")
+                stack.append((" ",))
+        elif isinstance(x, tuple):  # literal text
+            out.append(x[0])
+        elif isinstance(x, int):
+            out.append(str(x))
+        elif isinstance(x, str):
+            out.append(f"<fun {x}>")
         else:
             out.append("<hole>")
     return "".join(out)
 
 
-def counters(interp: Interp) -> dict:
+def input_blocks(args) -> int:
+    """The blocks of the inputs, counted as the tree they describe."""
+
+    n, stack = 0, list(args)
+    while stack:
+        x = stack.pop()
+        if isinstance(x, Block):
+            n += 1
+            stack.extend(x.fields)
+    return n
+
+
+def counters(interp: Interp, args) -> dict:
+    """`store_blocks` counts the blocks the Interp created, input blocks
+    included."""
+
     m = interp.metrics
     return {"max_stack_depth": m.max_stack_depth, "allocations": m.allocations,
             "dest_writes": m.dest_writes, "steps": m.steps,
-            "store_blocks": len(interp.blocks),
+            "store_blocks": interp.nblocks + input_blocks(args),
             "effects": len(m.effect_trace),
             "effect_sha256": digest("\n".join(m.effect_trace))}
 
@@ -167,7 +179,7 @@ def run_case(name: str, entry: str, specs, size: int, variant: str) -> dict:
     rng = Lcg(mix_seed(SEED, size))
     args = [gen_value(at_size(s, size), rng) for s in specs]
     value, _, interp = eval_program(program, entry, args)
-    return {**counters(interp), "value_sha256": digest(render(interp, value))}
+    return {**counters(interp, args), "value_sha256": digest(render(value))}
 
 
 def run_error(src: str, entry: str, args, limits: dict) -> dict:
@@ -175,7 +187,7 @@ def run_error(src: str, entry: str, args, limits: dict) -> dict:
     try:
         interp.call(entry, args)
     except TmcRuntimeError as exc:
-        return {"code": exc.code, "message": str(exc), **counters(interp)}
+        return {"code": exc.code, "message": str(exc), **counters(interp, args)}
     raise AssertionError("no runtime error")
 
 

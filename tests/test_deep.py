@@ -10,7 +10,8 @@ import threading
 
 import pytest
 
-from tmc_forge.runtime import eval_program, list_lit
+from tmc_forge.gen import list_value
+from tmc_forge.runtime import eval_program
 from tmc_forge.surface import parse_program
 from tmc_forge.transform import transform_program
 
@@ -51,14 +52,12 @@ def nested_patterns(depth: int) -> str:
                       + " (constr Nil))")
 
 
-def as_list(interp, v) -> list[int]:
+def as_list(v) -> list[int]:
     out = []
-    while True:
-        blk = interp.blocks[v.addr]
-        if blk.tag == "Nil":
-            return out
-        out.append(blk.fields[0].n)
-        v = blk.fields[1]
+    while v.tag != "Nil":
+        out.append(v.fields[0])
+        v = v.fields[1]
+    return out
 
 
 @pytest.fixture(autouse=True)
@@ -78,11 +77,11 @@ def test_depth_10000_parses_transforms_and_runs(shape, expected):
     text = shape(DEPTH)
     p = parse_program(text)
     t = transform_program(p)
-    arg = list_lit([1, 2, 3])
+    arg = list_value([1, 2, 3])
     v1, m1, i1 = eval_program(p, "f", [arg])
     v2, m2, i2 = eval_program(t, "f", [arg])
     assert i1.render(v1) == i2.render(v2)
     if expected is not None:
-        assert as_list(i2, v2) == expected
+        assert as_list(v2) == expected
     assert m2.allocations == m1.allocations
     assert m2.max_stack_depth <= 2

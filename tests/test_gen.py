@@ -11,7 +11,10 @@ from tmc_forge.gen import (
     gen_value,
     mix_seed,
 )
-from tmc_forge.runtime import LBlock, LFun, LInt
+from tmc_forge.ir import Int, Program
+from tmc_forge.runtime import Block, Interp
+
+EMPTY = Program([], Int(0))
 
 
 def test_same_seed_same_stream():
@@ -41,45 +44,45 @@ def test_pinned_stream():
 
 class TestSpecs:
     def test_literal_int(self):
-        assert gen_value("17", Lcg(1)) == LInt(17)
-        assert gen_value("-3", Lcg(1)) == LInt(-3)
+        assert gen_value("17", Lcg(1)) == 17
+        assert gen_value("-3", Lcg(1)) == -3
 
     def test_random_int_range(self):
         v = gen_value("int", Lcg(5))
-        assert 0 <= v.n < 100
+        assert type(v) is int and 0 <= v < 100
 
     def test_list_length(self):
         v = gen_value("list:4", Lcg(1))
         n = 0
         while v.tag == "Cons":
             n += 1
-            v = v.args[1]
+            v = v.fields[1]
         assert (n, v.tag) == (4, "Nil")
 
     def test_sortedlist_is_sorted(self):
         v = gen_value("sortedlist:10", Lcg(3))
         prev = None
         while v.tag == "Cons":
-            x = v.args[0].n
+            x = v.fields[0]
             assert prev is None or prev <= x
             prev = x
-            v = v.args[1]
+            v = v.fields[1]
 
     def test_listof_is_list_of_lists(self):
         v = gen_value("listof:3", Lcg(1))
         while v.tag == "Cons":
-            assert v.args[0].tag in ("Cons", "Nil")
-            v = v.args[1]
+            assert v.fields[0].tag in ("Cons", "Nil")
+            v = v.fields[1]
 
     def test_tree_depth_bounded(self):
         def depth(t):
             if t.tag == "Leaf":
                 return 0
-            return 1 + max(depth(t.args[0]), depth(t.args[1]))
+            return 1 + max(depth(t.fields[0]), depth(t.fields[1]))
         assert depth(gen_value("tree:5", Lcg(1))) <= 5
 
     def test_fun(self):
-        assert gen_value("fun:add1", Lcg(1)) == LFun("add1")
+        assert gen_value("fun:add1", Lcg(1)) == "add1"
 
     def test_bad_specs(self):
         for s in ("list:", "list:x", "list:-1", "frob:3", "frob", ""):
@@ -87,7 +90,8 @@ class TestSpecs:
                 gen_value(s, Lcg(1))
 
     def test_determinism(self):
-        assert gen_value("tree:6", Lcg(9)) == gen_value("tree:6", Lcg(9))
+        a, b = gen_value("tree:6", Lcg(9)), gen_value("tree:6", Lcg(9))
+        assert a is not b and Interp(EMPTY).render(a) == Interp(EMPTY).render(b)
 
     @pytest.mark.parametrize("spec, want", [
         ("list:N", "list:12"), ("tree:N", "tree:12"),
@@ -98,10 +102,10 @@ class TestSpecs:
         assert at_size(spec, 12) == want
 
 
-def chain_len(t: LBlock) -> int:
+def chain_len(t: Block) -> int:
     n = 0
     while t.tag != "Cconst":
-        t = t.args[-1] if t.tag != "Cifthenelse" else t.args[2]
+        t = t.fields[-1] if t.tag != "Cifthenelse" else t.fields[2]
         n += 1
     return n
 
@@ -113,7 +117,7 @@ def test_cmmlike_chain_length_and_tags():
     cur = t
     while cur.tag != "Cconst":
         tags.add(cur.tag)
-        cur = cur.args[2] if cur.tag in ("Clet", "Cifthenelse") else cur.args[1]
+        cur = cur.fields[2] if cur.tag in ("Clet", "Cifthenelse") else cur.fields[1]
     assert tags <= {"Clet", "Csequence", "Cifthenelse"}
 
 
@@ -121,6 +125,6 @@ def test_then_chain_nests_in_the_then_direction():
     t = gen_cmm_then_chain(10, Lcg(1))
     n = 0
     while t.tag == "Cifthenelse":
-        t = t.args[1]
+        t = t.fields[1]
         n += 1
     assert n == 10

@@ -13,8 +13,9 @@ from collections import Counter
 
 from hypothesis import given, settings, strategies as st
 
-from tmc_forge.ir import well_formed
-from tmc_forge.runtime import LBlock, LInt, eval_program, list_lit
+from tmc_forge.ir import Int, Program, well_formed
+from tmc_forge.gen import list_value
+from tmc_forge.runtime import Block, Interp, eval_program
 from tmc_forge.surface import parse_program, print_program
 from tmc_forge.transform import TransformError, transform_program
 
@@ -87,12 +88,17 @@ def programs(draw):
     return shape, f"(program (letrec {' '.join(funs)}) (main (int 0)))"
 
 
+EMPTY = Program([], Int(0))
 _trees = st.recursive(
-    st.just(LBlock("Leaf", ())),
+    st.just(Block("Leaf", [])),
     lambda kids: st.tuples(kids, st.integers(0, 3), kids).map(
-        lambda t: LBlock("Node", (t[0], LInt(t[1]), t[2]))),
+        lambda t: Block("Node", list(t))),
     max_leaves=4)
-_lists = st.lists(st.integers(0, 3), max_size=3).map(list_lit)
+_lists = st.lists(st.integers(0, 3), max_size=3).map(list_value)
+
+
+def render(v) -> str:
+    return Interp(EMPTY).render(v)
 
 
 @settings(max_examples=150, deadline=None)
@@ -107,9 +113,11 @@ def test_transform_keeps_value_allocations_and_effects(case, lst, tree):
     assert well_formed(t) == [], text
     assert parse_program(print_program(t)) == t, text
     arg = lst if shape == "list" else tree
-    v1, m1, i1 = eval_program(p, "f", [arg])
+    before = render(arg)
+    v1, m1, i1 = eval_program(p, "f", [arg])  # both runs share the input
     v2, m2, i2 = eval_program(t, "f", [arg])
-    assert i1.snapshot(v1) == i2.snapshot(v2), text
+    assert render(v1) == render(v2), text
+    assert render(arg) == before, text
     assert m1.allocations == m2.allocations, text
     assert Counter(m1.effect_trace) == Counter(m2.effect_trace), text
     assert m2.dest_writes <= m2.allocations, text

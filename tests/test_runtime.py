@@ -4,18 +4,15 @@ metrics accounting, tail-call frame reuse."""
 import pytest
 from hypothesis import given, strategies as st
 
-from tmc_forge.gen import Lcg, gen_value
+from tmc_forge.gen import Lcg, gen_value, list_value
 from tmc_forge.ir import Int, Program
 from tmc_forge.runtime import (
+    Block,
     Interp,
-    LBlock,
-    LInt,
     TmcRuntimeError,
     VHOLE,
-    VInt,
     eval_dps,
     eval_program,
-    list_lit,
 )
 from tmc_forge.surface import parse_program
 
@@ -32,11 +29,11 @@ def run_src(src, entry, args, **kw):
 class TestBuiltins:
     def test_arithmetic(self):
         v, _, _ = run_src("(program (main (call add 2 3)))", "main", [])
-        assert v == VInt(5)
+        assert v == 5
         v, _, _ = run_src("(program (main (call sub 2 3)))", "main", [])
-        assert v == VInt(-1)
+        assert v == -1
         v, _, _ = run_src("(program (main (call add1 41)))", "main", [])
-        assert v == VInt(42)
+        assert v == 42
 
     def test_comparisons_return_boolean_blocks(self):
         v, _, i = run_src("(program (main (call leq 1 2)))", "main", [])
@@ -52,7 +49,7 @@ class TestBuiltins:
         v, m, i = run_src("(program (main (seq (call print 7) 1)))", "main", [])
         assert m.effect_trace == ["7"]
         assert m.allocations == 1  # the returned unit tuple
-        assert v == VInt(1)
+        assert v == 1
 
     def test_type_errors(self):
         with pytest.raises(TmcRuntimeError) as ei:
@@ -110,48 +107,37 @@ class TestBlocks:
 
 
 class TestEquality:
-    def test_struct_eq_ignores_sharing(self):
-        i = Interp(EMPTY)
-        shared = i.alloc("Leaf", [VInt(1)])
-        a = i.alloc("Node", [shared, shared])
-        b = i.alloc("Node", [i.alloc("Leaf", [VInt(1)]),
-                             i.alloc("Leaf", [VInt(1)])])
-        assert i.struct_eq(a, b)
+    """Values are equal when they render equal, as `diff` compares them."""
 
-    def test_struct_eq_cyclic_terminates(self):
+    def test_render_ignores_sharing(self):
         i = Interp(EMPTY)
-        # two distinct one-node cycles compare equal
-        x = i.alloc("Loop", [VInt(0)])
-        i.blocks[x.addr].fields[0] = x
-        y = i.alloc("Loop", [VInt(0)])
-        i.blocks[y.addr].fields[0] = y
-        assert i.struct_eq(x, y)
+        shared = Block("Leaf", [1])
+        a = Block("Node", [shared, shared])
+        b = Block("Node", [Block("Leaf", [1]), Block("Leaf", [1])])
+        assert i.render(a) == i.render(b)
+        assert i.render(a) != i.render(Block("Node", [shared, Block("Leaf", [2])]))
 
     def test_assert_no_holes_cycle_terminates(self):
-        i = Interp(EMPTY)
-        x = i.alloc("Loop", [VInt(0)])
-        i.blocks[x.addr].fields[0] = x
-        i.assert_no_holes(x)  # must not loop forever
+        x = Block("Loop", [0])
+        x.fields[0] = x
+        Interp(EMPTY).assert_no_holes(x)  # must not loop forever
 
 
 class TestHoleCheck:
     def test_reports_the_first_hole_in_depth_first_order(self):
         # Fields are visited last to first: field 2's hole is found before
         # the one in field 1.
-        i = Interp(EMPTY)
-        inner = i.alloc("Cons", [VHOLE, VInt(1)])
-        root = i.alloc("Pair", [VHOLE, inner])
+        root = Block("Pair", [VHOLE, Block("Cons", [VHOLE, 1])])
         with pytest.raises(TmcRuntimeError) as ei:
-            i.assert_no_holes(root)
+            Interp(EMPTY).assert_no_holes(root)
         assert str(ei.value) == "HoleEscape: hole reachable at field path 2.1"
 
     def test_hole_at_the_end_of_a_long_list(self):
-        i = Interp(EMPTY)
-        v = i.alloc("Cons", [VInt(0), VHOLE])
+        v = Block("Cons", [0, VHOLE])
         for n in range(1, 100_000):
-            v = i.alloc("Cons", [VInt(n), v])
+            v = Block("Cons", [n, v])
         with pytest.raises(TmcRuntimeError) as ei:
-            i.assert_no_holes(v)
+            Interp(EMPTY).assert_no_holes(v)
         assert str(ei.value) == ("HoleEscape: hole reachable at field path "
                                  + ".".join(["2"] * 100_000))
 
@@ -167,33 +153,26 @@ class TestDeepValues:
 
     N = 100_000
 
-    def test_render_snapshot_compare_and_repr(self):
+    def test_render_and_compare(self):
         i = Interp(EMPTY)
-        lit = list_lit(range(self.N))
-        v = i.instantiate(lit)
+        v = list_value(range(self.N))
         text = i.render(v)
         assert text.startswith("(Cons 0 (Cons 1 ") and text.endswith(
             "Nil" + ")" * self.N)
-        snap = i.snapshot(v)
-        assert snap == lit and not snap != lit
-        assert snap != list_lit(range(1, self.N + 1))
-        assert repr(snap).startswith("(Cons LInt(n=0) (Cons LInt(n=1) ")
+        assert i.render(list_value(range(self.N))) == text
+        assert i.render(list_value(range(1, self.N + 1))) != text
 
     def test_walkers_reject_cycles(self):
-        i = Interp(EMPTY)
-        x = i.alloc("Loop", [VInt(0), VHOLE])
-        i.blocks[x.addr].fields[1] = x
-        for walk in (i.render, i.snapshot):
-            with pytest.raises(TmcRuntimeError) as ei:
-                walk(x)
-            assert ei.value.code == "CyclicValue"
+        x = Block("Loop", [0, VHOLE])
+        x.fields[1] = x
+        with pytest.raises(TmcRuntimeError) as ei:
+            Interp(EMPTY).render(x)
+        assert ei.value.code == "CyclicValue"
 
     def test_shared_blocks_are_not_cycles(self):
-        i = Interp(EMPTY)
-        leaf = i.alloc("Leaf", [VInt(1)])
-        v = i.alloc("Node", [leaf, leaf])
-        assert i.render(v) == "(Node (Leaf 1) (Leaf 1))"
-        assert i.snapshot(v) == LBlock("Node", (LBlock("Leaf", (LInt(1),)),) * 2)
+        leaf = Block("Leaf", [1])
+        v = Block("Node", [leaf, Block("Pair", [leaf, leaf])])
+        assert Interp(EMPTY).render(v) == "(Node (Leaf 1) (Pair (Leaf 1) (Leaf 1)))"
 
 
 class TestMetricsAndLimits:
@@ -218,7 +197,7 @@ class TestMetricsAndLimits:
               (case False (call add 1 (call down (call sub n 1)))))))
           (main 0))"""
         with pytest.raises(TmcRuntimeError) as ei:
-            run_src(src, "down", [LInt(100)], max_stack=50)
+            run_src(src, "down", [100], max_stack=50)
         assert ei.value.code == "StackLimit"
 
     def test_step_limit(self):
@@ -226,7 +205,7 @@ class TestMetricsAndLimits:
           (letrec (fun spin (n) (call spin n)))
           (main 0))"""
         with pytest.raises(TmcRuntimeError) as ei:
-            run_src(src, "spin", [LInt(0)], max_steps=1000)
+            run_src(src, "spin", [0], max_steps=1000)
         assert ei.value.code == "StepLimit"
 
     def test_tail_calls_reuse_the_frame(self):
@@ -238,7 +217,7 @@ class TestMetricsAndLimits:
               (case True 0)
               (case False (call loop (call sub n 1))))))
           (main 0))"""
-        _, m, _ = run_src(src, "loop", [LInt(1_000_000)], max_stack=10)
+        _, m, _ = run_src(src, "loop", [1_000_000], max_stack=10)
         assert m.max_stack_depth == 1
 
     def test_non_tail_recursion_grows_the_stack(self):
@@ -248,7 +227,7 @@ class TestMetricsAndLimits:
               (case True 0)
               (case False (call add 1 (call down (call sub n 1)))))))
           (main 0))"""
-        _, m, _ = run_src(src, "down", [LInt(40)])
+        _, m, _ = run_src(src, "down", [40])
         assert m.max_stack_depth == 41
 
 
@@ -259,7 +238,7 @@ class TestEvalDps:
         t = transform_program(p)
         v, m, i = eval_dps(t, "map_dps",
                            [gen_value("fun:add1", Lcg(1)),
-                            list_lit([LInt(1), LInt(2)])])
+                            list_value([1, 2])])
         assert i.render(v) == "(Cons 2 (Cons 3 Nil))"
         assert m.dest_writes == 3  # two conses + final nil
 
@@ -273,7 +252,7 @@ class TestEvalDps:
                 gen_value("list:17", Lcg(seed + 100))]
         v1, _, i1 = eval_program(p, "map", args)
         v2, _, i2 = eval_dps(transform_program(p), "map_dps", args)
-        assert i1.snapshot(v1) == i2.snapshot(v2)
+        assert i1.render(v1) == i2.render(v2)
 
     def test_broken_dps_fixture_overwrites_a_filled_field(self):
         p = parse_program((FIXTURES / "broken_hole_map.tmc").read_text())
@@ -288,7 +267,7 @@ class TestFunctionValues:
         v, _, _ = run_src(
             "(program (letrec (fun twice (f x) (call f (call f x))))"
             " (main (call twice add1 40)))", "main", [])
-        assert v == VInt(42)
+        assert v == 42
 
     def test_calling_a_non_function_value(self):
         src = """(program
@@ -314,18 +293,14 @@ class TestFunctionValues:
 
 class TestInstantiateAndRender:
     def test_nested_literal(self):
-        i = Interp(EMPTY)
-        v = i.instantiate(LBlock("Node", (LBlock("Leaf", (LInt(1),)),
-                                          LBlock("Leaf", (LInt(2),)))))
-        assert i.render(v) == "(Node (Leaf 1) (Leaf 2))"
+        v = Block("Node", [Block("Leaf", [1]), Block("Leaf", [2])])
+        assert Interp(EMPTY).render(v) == "(Node (Leaf 1) (Leaf 2))"
 
     def test_list_lit(self):
-        i = Interp(EMPTY)
-        v = i.instantiate(list_lit([LInt(3), LInt(4)]))
-        assert i.render(v) == "(Cons 3 (Cons 4 Nil))"
+        v = list_value([3, 4])
+        assert Interp(EMPTY).render(v) == "(Cons 3 (Cons 4 Nil))"
 
     @given(st.lists(st.integers(-5, 5), max_size=6))
-    def test_snapshot_matches_input_literal(self, xs):
-        i = Interp(EMPTY)
-        lit = list_lit([LInt(x) for x in xs])
-        assert i.snapshot(i.instantiate(lit)) == lit
+    def test_render_matches_input_list(self, xs):
+        want = "".join(f"(Cons {x} " for x in xs) + "Nil" + ")" * len(xs)
+        assert Interp(EMPTY).render(list_value(xs)) == want
