@@ -48,12 +48,15 @@ class AnalysisError(Exception):
 class MarkSet:
     marked: set[str]
     dps_name: dict[str, str]
+    # Every identifier of the program, the builtins and the DPS names: the
+    # names a fresh name must avoid.
+    used: set[str]
 
 
 def collect_marks(p: Program) -> MarkSet:
     """Assign a fresh DPS companion name to every marked function."""
 
-    used = set(all_identifiers(p)) | set(BUILTINS)
+    used = all_identifiers(p) | set(BUILTINS)
     marked: set[str] = set()
     dps_name: dict[str, str] = {}
     for f in iter_fundefs(p):
@@ -68,46 +71,25 @@ def collect_marks(p: Program) -> MarkSet:
             k += 1
         used.add(cand)
         dps_name[f.name] = cand
-    return MarkSet(marked, dps_name)
-
-
-@dataclass
-class ScopeEnv:
-    """Lexical context of an expression: the chain of enclosing functions.
-
-    groups: set of function names per enclosing letrec group (innermost last).
-    any_marked: some enclosing function carries the TMC mark.
-    """
-
-    group_names: list[frozenset[str]] = field(default_factory=list)
-    any_marked: bool = False
-
-    def enter(self, group: list[FunDef], fn: FunDef) -> "ScopeEnv":
-        return ScopeEnv(self.group_names + [frozenset(g.name for g in group)],
-                        self.any_marked or TAIL_MOD_CONS in fn.attrs)
-
-    def eligible(self, callee: str) -> bool:
-        if self.any_marked:
-            return True
-        return any(callee in names for names in self.group_names)
+    return MarkSet(marked, dps_name, used)
 
 
 @dataclass
 class ScopeVerdict:
-    """Per call-site eligibility for calls to marked functions."""
+    """The scope rule's verdict on every call to a marked function by its
+    own name, not shadowed by a binder."""
 
-    eligible_paths: dict[Path, bool] = field(default_factory=dict)
+    # ids of the eligible calls, valid while the program they belong to lives
+    calls: set[int] = field(default_factory=set)
+    # (the call's link for `path_of`, whether it is eligible), in walk order
+    sites: list[tuple[tuple, bool]] = field(default_factory=list)
     warnings: list[Diagnostic] = field(default_factory=list)
 
-
-def _is_direct_call(e: Expr, marks: MarkSet, env: ScopeEnv,
-                    value_scope) -> bool:
-    """Call to a marked function by its function name (not through a binder)."""
-
-    return (isinstance(e, Call)
-            and e.callee in marks.marked
-            and e.callee not in value_scope
-            and env.eligible(e.callee))
+    @property
+    def eligible_paths(self) -> dict[Path, bool]:
+        """Each call's path and verdict, built on demand: a path is as long
+        as the call is deep."""
+        return {path_of(at): ok for at, ok in self.sites}
 
 
 @dataclass(frozen=True)
@@ -119,11 +101,10 @@ class Candidate:
     annotated: bool  # the call carries (@ tailcall)
 
 
-def tmc_candidates(e: Expr, marks: MarkSet, env: ScopeEnv,
-                   value_scope: frozenset[str] = frozenset(),
+def tmc_candidates(e: Expr, calls: set[int],
                    live: Optional[dict] = None) -> list[Candidate]:
-    """Every eligible marked call in a tail-modulo-cons position of `e`,
-    left to right; `value_scope` holds the value variables bound around it.
+    """Every eligible call (its id is in `calls`, see `ScopeVerdict`) in a
+    tail-modulo-cons position of `e`, left to right.
 
     When given, `live` is filled for every node on the way down to a
     candidate, the candidate included.  A node's key is (its parent's
@@ -132,24 +113,21 @@ def tmc_candidates(e: Expr, marks: MarkSet, env: ScopeEnv,
     annotated candidate lies below it)."""
 
     out: list[Candidate] = []
-    scope = dict.fromkeys(value_scope, 1)
     preorder = count()
 
     def go(x: Expr, key: tuple, under: bool, at: tuple):
         """Whether an annotated candidate lies below x; None if none does."""
         pos = next(preorder)
-        if _is_direct_call(x, marks, env, scope):
+        if id(x) in calls:
             annotated = TAILCALL in x.attrs
             out.append(Candidate(path_of(at), under, annotated))
             pos = None
         else:
             annotated = None
-            for label, c, bound, tmc in children(x):
+            for label, c, _, tmc in children(x):
                 if tmc is None:  # not a tail-modulo-cons position
                     continue
-                bind(scope, bound, 1)
                 below = yield go(c, (pos, label), under or tmc, (label, at))
-                bind(scope, bound, -1)
                 if below is not None:
                     annotated = annotated or below
         if annotated is not None and live is not None:
@@ -160,25 +138,22 @@ def tmc_candidates(e: Expr, marks: MarkSet, env: ScopeEnv,
     return out
 
 
-def decompose_tmc(e: Expr, marks: MarkSet, env: ScopeEnv,
-                  value_scope: frozenset[str] = frozenset()) -> Decomposition:
-    """Compute the TMC context decomposition of `e`.
+def decompose_tmc(e: Expr, calls: set[int]) -> Decomposition:
+    """Compute the TMC context decomposition of `e`; `calls` holds the ids
+    of the eligible calls (see `ScopeVerdict`).
 
     Raises AnalysisError(AmbiguousTmc) when two constructor arguments
     contain candidates and annotations do not single one out.
     """
 
     live: dict[tuple, tuple] = {}
-    cands = tmc_candidates(e, marks, env, value_scope, live)
+    cands = tmc_candidates(e, calls, live)
     holes: list[tuple[Expr, str]] = []
     chosen: dict[int, int] = {}
-    calls: set[int] = set()
 
     def go(x: Expr, key: tuple, under: bool, at: tuple):
         entry = live.get(key)
         if entry is None or entry[0] is None:  # not live, or a candidate
-            if entry is not None:
-                calls.add(len(holes))
             holes.append((x, STRICT_MOD_CONS if under else PLAIN_TAIL))
             return DecompHole(len(holes) - 1)
         pos = entry[0]
@@ -209,61 +184,77 @@ def decompose_tmc(e: Expr, marks: MarkSet, env: ScopeEnv,
             chosen[id(out)] = j
         return out
 
-    return Decomposition(drive(go(e, (-1, ""), False, ())), holes, chosen, calls)
+    return Decomposition(drive(go(e, (-1, ""), False, ())), holes, chosen)
 
 
-def _visit_all(p: Program, visit) -> None:
-    """Call visit(e, env, scope, tail, under_constr, at) for every
-    expression e of p, after visiting its subexpressions.  `scope` holds
-    the value variables bound around e, `tail` says that e is in a
+def _visit_all(p: Program, marks: MarkSet, visit) -> None:
+    """Call visit(x, eligible, marked, tail, under_constr, at) for every
+    function definition and expression x of p, after visiting what lies
+    inside it.  This walk is the one place that applies the scope rule:
+    `eligible` is None unless x calls a marked function by its own name,
+    not shadowed by a binder, and then says whether the call may be
+    rewritten -- anywhere inside a marked function (`marked`), elsewhere
+    only from within the callee's own group.  `tail` says that x is in a
     tail-modulo-cons position of its function or main, `under_constr` that
-    a constructor argument lies on the way there, and `at` is e's link
-    for `path_of`."""
+    a constructor argument lies on the way there, and `at` is x's link for
+    `path_of`."""
 
-    def walk(e: Expr, env: ScopeEnv, scope: dict[str, int], tail: bool,
+    groups: dict[str, int] = {}  # the names of the enclosing groups, see `bind`
+
+    def walk(e: Expr, marked: bool, scope: dict[str, int], tail: bool,
              under: bool, at: tuple):
         if isinstance(e, Letrec):
-            for f in e.group:
-                yield walk(f.body, env.enter(e.group, f),
-                           dict.fromkeys(f.params, 1), True, False, (f.name, at))
+            yield group(e.group, marked, at)
         for label, c, bound, tmc in children(e):
             bind(scope, bound, 1)
             if tmc is None:
-                yield walk(c, env, scope, False, False, (label, at))
+                yield walk(c, marked, scope, False, False, (label, at))
             else:
-                yield walk(c, env, scope, tail, under or tmc, (label, at))
+                yield walk(c, marked, scope, tail, under or tmc, (label, at))
             bind(scope, bound, -1)
-        visit(e, env, scope, tail, under, at)
+        eligible = None
+        if (isinstance(e, Call) and e.callee in marks.marked
+                and e.callee not in scope):
+            eligible = marked or e.callee in groups
+        visit(e, eligible, marked, tail, under, at)
 
-    root = ScopeEnv()
-    for gi, group in enumerate(p.groups):
-        for f in group:
-            drive(walk(f.body, root.enter(group, f), dict.fromkeys(f.params, 1),
-                       True, False, (f.name, (f"group{gi}", ()))))
-    drive(walk(p.main, root, {}, False, False, ("main", ())))
+    def group(fs: list[FunDef], marked: bool, at: tuple):
+        bind(groups, [f.name for f in fs], 1)
+        for f in fs:
+            inside = marked or TAIL_MOD_CONS in f.attrs
+            yield walk(f.body, inside, dict.fromkeys(f.params, 1), True,
+                       False, (f.name, at))
+            visit(f, None, inside, False, False, (f.name, at))
+        bind(groups, [f.name for f in fs], -1)
+
+    for gi, fs in enumerate(p.groups):
+        drive(group(fs, False, (f"group{gi}", ())))
+    drive(walk(p.main, False, {}, False, False, ("main", ())))
 
 
 def resolve_scope(p: Program, marks: MarkSet) -> ScopeVerdict:
-    """Record eligibility of every call site that targets a marked function."""
+    """Decide every call site that targets a marked function, and warn
+    about each marked function, nested ones included, that has no
+    strictly-modulo-cons candidate."""
 
     verdict = ScopeVerdict()
+    useless: dict[int, Diagnostic] = {}
 
-    def visit(e: Expr, env: ScopeEnv, scope: dict, tail, under, at: tuple):
-        if isinstance(e, Call) and e.callee in marks.marked and e.callee not in scope:
-            verdict.eligible_paths[path_of(at)] = env.eligible(e.callee)
+    def visit(x, eligible: Optional[bool], marked, tail, under, at: tuple):
+        if eligible is not None:
+            verdict.sites.append((at, eligible))
+            if eligible:
+                verdict.calls.add(id(x))
+        elif isinstance(x, FunDef) and TAIL_MOD_CONS in x.attrs and not any(
+                c.under_constr for c in tmc_candidates(x.body, verdict.calls)):
+            useless[id(x)] = Diagnostic(
+                "Warning", "UselessMark",
+                f"'{x.name}' has no strictly-modulo-cons candidate; "
+                "its DPS version is trivial", x.span, path_of(at))
 
-    _visit_all(p, visit)
-    for gi, group in enumerate(p.groups):
-        for f in group:
-            if TAIL_MOD_CONS in f.attrs and not any(
-                    c.under_constr for c in tmc_candidates(
-                        f.body, marks, ScopeEnv().enter(group, f),
-                        frozenset(f.params))):
-                verdict.warnings.append(Diagnostic(
-                    "Warning", "UselessMark",
-                    f"'{f.name}' has no strictly-modulo-cons candidate; "
-                    "its DPS version is trivial",
-                    f.span, (f"group{gi}", f.name)))
+    _visit_all(p, marks, visit)
+    verdict.warnings = [useless[id(f)] for f in iter_fundefs(p)
+                        if id(f) in useless]
     return verdict
 
 
@@ -277,18 +268,17 @@ def check_tailcall_annotations(p: Program, marks: MarkSet) -> list[Diagnostic]:
 
     diags: list[Diagnostic] = []
 
-    def visit(e: Expr, env: ScopeEnv, scope: dict, tail: bool,
+    def visit(x, eligible: Optional[bool], marked: bool, tail: bool,
               under_constr: bool, at: tuple):
-        if isinstance(e, Call) and TAILCALL in e.attrs:
-            direct = _is_direct_call(e, marks, env, scope)
+        if isinstance(x, Call) and TAILCALL in x.attrs:
             # Holds in a plain tail position, or a TMC one that is rewritten.
-            if not (tail and (direct or not under_constr)):
-                sev = "Error" if direct or env.any_marked else "Warning"
+            if not (tail and (eligible or not under_constr)):
                 diags.append(Diagnostic(
-                    sev, "TailcallNotSatisfiable",
-                    f"(@ tailcall) on call to '{e.callee}' cannot become "
+                    "Error" if eligible or marked else "Warning",
+                    "TailcallNotSatisfiable",
+                    f"(@ tailcall) on call to '{x.callee}' cannot become "
                     "a tail call here",
-                    e.span, path_of(at)))
+                    x.span, path_of(at)))
 
-    _visit_all(p, visit)
+    _visit_all(p, marks, visit)
     return diags

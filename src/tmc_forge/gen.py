@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from .ir import drive
 from .runtime import Block, Value
+from .surface import is_int
 
 _MASK = (1 << 64) - 1
 _MUL = 6364136223846793005
@@ -58,7 +59,7 @@ def gen_value(spec: str, rng: Lcg) -> Value:
     `tree:<depth>`, `cmmlike:<n>`, `fun:<name>`.
     """
 
-    if spec.lstrip("-").isdigit() and spec.lstrip("-"):
+    if is_int(spec):
         return int(spec)
     if spec == "int":
         return rng.below(100)
@@ -66,19 +67,11 @@ def gen_value(spec: str, rng: Lcg) -> Value:
     if name == "fun" and arg:
         return arg
     if name in SIZED:
-        inner = None
-        if name == "listof" and "x" in arg:
-            arg, _, inner_s = arg.partition("x")
-            try:
-                inner = int(inner_s)
-            except ValueError:
-                raise BadSpec(f"bad generator spec {spec!r}") from None
-        try:
-            n = int(arg)
-        except ValueError:
-            raise BadSpec(f"bad generator spec {spec!r}") from None
-        if n < 0 or (inner is not None and inner < 0):
+        sizes = arg.split("x", 1) if name == "listof" else [arg]
+        if not all(is_int(s) and int(s) >= 0 for s in sizes):
             raise BadSpec(f"bad generator spec {spec!r}")
+        n = int(sizes[0])
+        inner = int(sizes[1]) if len(sizes) > 1 else None
         if name == "list":
             return list_value(rng.below(100) for _ in range(n))
         if name == "sortedlist":

@@ -183,7 +183,6 @@ class Decomposition:
     # id(constructor of the context) -> index of the argument that holds
     # the rest of the context
     chosen: dict[int, int]
-    calls: set[int] = field(default_factory=set)  # holes that are eligible calls
 
 
 Path = tuple

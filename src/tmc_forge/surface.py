@@ -20,6 +20,7 @@ The grammar (EBNF over s-expressions):
     clause   := ( "case" pat expr )
     pat      := SYM | "_" | INT | ( SYM pat* )
 
+INT is an optional '-' and ASCII digits; every other atom is a SYM.
 Comments run from ';' to end of line.  `if` desugars to a match on
 True/False, `tuple` to a "Tuple" constructor; the printer emits core
 forms only, so printing is canonicalizing.
@@ -135,9 +136,13 @@ def _read(text: str) -> list:
     raise AssertionError("unreachable: the last token is the end of input")
 
 
-def _is_int(tok: str) -> bool:
-    body = tok[1:] if tok[:1] == "-" else tok
-    return body.isdigit() and body != ""
+_INT = re.compile(r"-?[0-9]+")
+
+
+def is_int(tok: str) -> bool:
+    """Whether `tok` is an integer literal: an optional '-' and ASCII
+    digits.  Any other atom is a symbol."""
+    return _INT.fullmatch(tok) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -177,7 +182,7 @@ def _attrs(rest: list, allowed: set[str]) -> tuple[frozenset[str], list]:
 
 def build_expr(node):
     if isinstance(node, Atom):
-        if _is_int(node.text):
+        if is_int(node.text):
             return Int(int(node.text), span=node.span)
         return Var(node.text, span=node.span)
     assert isinstance(node, SList)
@@ -193,7 +198,7 @@ def build_expr(node):
 
     if head == "int":
         need(1, "integer")
-        if not isinstance(rest[0], Atom) or not _is_int(rest[0].text):
+        if not isinstance(rest[0], Atom) or not is_int(rest[0].text):
             raise _err(node, "expected integer literal")
         return Int(int(rest[0].text), span=sp)
     if head == "var":
@@ -254,7 +259,7 @@ def build_pattern(node):
     if isinstance(node, Atom):
         if node.text == "_":
             return PWild(span=node.span)
-        if _is_int(node.text):
+        if is_int(node.text):
             return PInt(int(node.text), span=node.span)
         if node.text[0].isupper():
             # Bare capitalized symbol: nullary constructor pattern.

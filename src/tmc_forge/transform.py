@@ -20,7 +20,6 @@ from typing import Optional
 from .analysis import (
     AnalysisError,
     MarkSet,
-    ScopeEnv,
     check_tailcall_annotations,
     collect_marks,
     decompose_tmc,
@@ -43,7 +42,6 @@ from .ir import (
     Seq,
     SetRef,
     Var,
-    all_identifiers,
     children,
     drive,
     well_formed,
@@ -60,20 +58,18 @@ class TransformError(Exception):
 
 @dataclass
 class FreshNamer:
+    """Names base0, base1, ... for each base, skipping the names in `used`,
+    which it reads but never changes."""
+
     used: set[str] = field(default_factory=set)
     counters: dict[str, int] = field(default_factory=dict)
-
-    def reserve(self, names) -> None:
-        self.used.update(names)
 
     def fresh(self, base: str) -> str:
         k = self.counters.get(base, 0)
         while f"{base}{k}" in self.used:
             k += 1
         self.counters[base] = k + 1
-        name = f"{base}{k}"
-        self.used.add(name)
-        return name
+        return f"{base}{k}"
 
 
 @dataclass(frozen=True)
@@ -112,62 +108,58 @@ class _Rewriter:
     """The walkers are generators run by `ir.drive`: each yields its
     sub-walks and is sent their results."""
 
-    def __init__(self, marks: MarkSet, compress: bool = True):
+    def __init__(self, marks: MarkSet, calls: set[int], compress: bool = True):
         self.marks = marks
+        self.calls = calls  # ids of the eligible calls, see `ScopeVerdict`
+        self.dps_names = set(marks.dps_name.values())
         self.compress = compress
-        # id(group) -> (enclosing env, rewritten group); see rewrite_group.
-        self.groups: dict[int, tuple[ScopeEnv, list[FunDef]]] = {}
+        # id(group) -> rewritten group; see rewrite_group.
+        self.groups: dict[int, list[FunDef]] = {}
 
     # -- generic cleanup --------------------------------------------------
 
-    def scrub(self, e: Expr, env: ScopeEnv):
+    def scrub(self, e: Expr):
         """Strip consumed attributes and expand nested letrec groups."""
 
         if isinstance(e, Letrec):
-            group = yield self.rewrite_group(e.group, env)
-            return Letrec(group, (yield self.scrub(e.body, env)), span=e.span)
+            group = yield self.rewrite_group(e.group)
+            return Letrec(group, (yield self.scrub(e.body)), span=e.span)
         new = []
         for _, c, _, _ in children(e):
-            new.append((yield self.scrub(c, env)))
+            new.append((yield self.scrub(c)))
         if isinstance(e, Call):
             return Call(e.callee, new, frozenset(), span=e.span)
         return with_children(e, new)
 
     # -- function-level transforms ----------------------------------------
 
-    def rewrite_group(self, group: list[FunDef], outer: ScopeEnv):
+    def rewrite_group(self, group: list[FunDef]):
         """The direct version of every function of the group, each followed
         by its DPS version when marked.  Each body is decomposed once.  A
         nested group lies in the context of both versions of its enclosing
         function; it is rewritten once and shared by the two."""
 
         done = self.groups.get(id(group))
-        if done is not None and done[0] is outer:
-            return done[1]
+        if done is not None:
+            return done
         out: list[FunDef] = []
         for f in group:
-            env = outer.enter(group, f)
-            d = decompose_tmc(f.body, self.marks, env, frozenset(f.params))
-            reserved = (all_identifiers(f.body) | set(f.params)
-                        | set(self.marks.dps_name.values()))
-            body = yield self._ctx(d.context, d, None, None, env,
-                                   FreshNamer(set(reserved)))
+            d = decompose_tmc(f.body, self.calls)
+            body = yield self._ctx(d.context, d, None, None,
+                                   FreshNamer(self.marks.used))
             out.append(FunDef(f.name, list(f.params), body, frozenset(),
                               span=f.span))
             if f.name in self.marks.marked:
-                out.append((yield self._dps_fun(f, d, env,
-                                                FreshNamer(set(reserved)))))
-        self.groups[id(group)] = (outer, out)
+                out.append((yield self._dps_fun(f, d,
+                                                FreshNamer(self.marks.used))))
+        self.groups[id(group)] = out
         return out
 
-    def _dps_fun(self, f: FunDef, d: Decomposition, env: ScopeEnv,
-                 namer: FreshNamer):
+    def _dps_fun(self, f: FunDef, d: Decomposition, namer: FreshNamer):
         dst = namer.fresh("dst") if "dst" in namer.used else "dst"
         idx = namer.fresh("idx") if "idx" in namer.used else "idx"
-        namer.reserve((dst, idx))
-        body = yield self._ctx(d.context, d, Dest(dst, Var(idx)), None, env,
-                               namer)
-        check_single_completion(body, self.marks)
+        body = yield self._ctx(d.context, d, Dest(dst, Var(idx)), None, namer)
+        check_single_completion(body, self.dps_names)
         return FunDef(self.marks.dps_name[f.name], [dst, idx] + list(f.params),
                       body, frozenset(), span=f.span)
 
@@ -188,7 +180,7 @@ class _Rewriter:
                 lambda rest: Let(d2, alloc, Seq(write, rest)))
 
     def _ctx(self, node: Expr, d: Decomposition, dest: Optional[Dest],
-             cctx: Optional[tuple], env: ScopeEnv, namer: FreshNamer):
+             cctx: Optional[tuple], namer: FreshNamer):
         """Rewrite the context `node` of `d` into the direct version of its
         function when `dest` is None, else into DPS code that writes the
         result, wrapped in the delayed `cctx` (see `_plug`), to `dest`."""
@@ -196,67 +188,66 @@ class _Rewriter:
         if isinstance(node, DecompHole):
             expr = d.holes[node.index][0]
             if dest is None:
-                return (yield self.scrub(expr, env))
-            if node.index in d.calls:
+                return (yield self.scrub(expr))
+            if id(expr) in self.calls:
                 if cctx:
                     dest, wrap = self._reify(dest, cctx, namer)
-                    return wrap((yield self._dps_call(expr, dest, env)))
-                return (yield self._dps_call(expr, dest, env))
-            return dest.setref(_plug(cctx, (yield self.scrub(expr, env))))
+                    return wrap((yield self._dps_call(expr, dest)))
+                return (yield self._dps_call(expr, dest))
+            return dest.setref(_plug(cctx, (yield self.scrub(expr))))
         if isinstance(node, Constr):
             if dest is None:
                 # The constructor rule: switch to DPS inside the allocation.
-                dvar, alloc, inner = yield self._open(node, d, env, namer)
+                dvar, alloc, inner = yield self._open(node, d, namer)
                 return Let(dvar, alloc, Seq(inner, Var(dvar)))
-            return (yield self._dps_constr(node, d, dest, cctx, env, namer))
+            return (yield self._dps_constr(node, d, dest, cctx, namer))
         if isinstance(node, Match) and cctx and len(node.clauses) >= 2:
             # A multi-branch match would duplicate the delayed context.
             dest, wrap = self._reify(dest, cctx, namer)
-            return wrap((yield self._ctx(node, d, dest, None, env, namer)))
+            return wrap((yield self._ctx(node, d, dest, None, namer)))
         if isinstance(node, Letrec):
-            group = yield self.rewrite_group(node.group, env)
+            group = yield self.rewrite_group(node.group)
             return Letrec(group,
-                          (yield self._ctx(node.body, d, dest, cctx, env, namer)),
+                          (yield self._ctx(node.body, d, dest, cctx, namer)),
                           span=node.span)
         new = []
         for _, c, _, tmc in children(node):
             if tmc is not None:
-                c = yield self._ctx(c, d, dest, cctx, env, namer)
+                c = yield self._ctx(c, d, dest, cctx, namer)
             else:
-                c = yield self.scrub(c, env)
+                c = yield self.scrub(c)
             new.append(c)
         return with_children(node, new)
 
-    def _split(self, node: Constr, d: Decomposition, env: ScopeEnv):
+    def _split(self, node: Constr, d: Decomposition):
         """The index of the argument holding the context, and the scrubbed
         arguments left and right of it."""
 
         j = d.chosen[id(node)]
         args = []
         for i, a in enumerate(node.args):
-            args.append(a if i == j else (yield self.scrub(a, env)))
+            args.append(a if i == j else (yield self.scrub(a)))
         return j, args[:j], args[j + 1:]
 
-    def _open(self, node: Constr, d: Decomposition, env: ScopeEnv,
-              namer: FreshNamer):
+    def _open(self, node: Constr, d: Decomposition, namer: FreshNamer):
         """Allocate `node` with a hole in the argument holding the context:
         the block variable, the allocation, and that argument's DPS rewrite
         into the hole."""
 
-        j, left, right = yield self._split(node, d, env)
+        j, left, right = yield self._split(node, d)
         dvar = namer.fresh("dst")
         alloc = Constr(node.tag, left + [Hole()] + right, span=node.span)
         inner = yield self._ctx(node.args[j], d, Dest(dvar, Int(j + 1)), None,
-                                env, namer)
+                                namer)
         return dvar, alloc, inner
 
     def _dps_constr(self, node: Constr, d: Decomposition, dest: Dest,
-                    cctx: Optional[tuple], env: ScopeEnv, namer: FreshNamer):
+                    cctx: Optional[tuple], namer: FreshNamer):
         if not self.compress:
             # Naive constructor rule: allocate and write immediately.
-            dvar, alloc, inner = yield self._open(node, d, env, namer)
+            dvar, alloc, inner = yield self._open(node, d, namer)
             return Let(dvar, alloc, Seq(dest.setref(Var(dvar)), inner))
-        j, left_exprs, right_exprs = yield self._split(node, d, env)
+        j, left_exprs, right_exprs = yield self._split(node, d)
         binds: list[tuple[str, Expr]] = []
 
         def atom(e: Expr) -> Expr:
@@ -269,24 +260,23 @@ class _Rewriter:
         left_atoms = tuple(atom(e) for e in left_exprs)
         right_atoms = tuple(atom(e) for e in right_exprs)
         layer = CLayer(node.tag, left_atoms, right_atoms)
-        out = yield self._ctx(node.args[j], d, dest, (layer, cctx), env, namer)
+        out = yield self._ctx(node.args[j], d, dest, (layer, cctx), namer)
         for v, e in reversed(binds):
             out = Let(v, e, out)
         return out
 
-    def _dps_call(self, call: Call, dest: Dest, env: ScopeEnv):
+    def _dps_call(self, call: Call, dest: Dest):
         args = [Var(dest.block), dest.index]
         for a in call.args:
-            args.append((yield self.scrub(a, env)))
+            args.append((yield self.scrub(a)))
         return Call(self.marks.dps_name[call.callee], args, frozenset(),
                     span=call.span)
 
 
-def check_single_completion(body: Expr, marks: MarkSet) -> None:
+def check_single_completion(body: Expr, dps_names: set[str]) -> None:
     """Every control path of a DPS body must end in exactly one
     destination write or one call to a DPS companion."""
 
-    dps_names = set(marks.dps_name.values())
     stack = [body]
     while stack:
         e = stack.pop()
@@ -309,18 +299,18 @@ def transform_program(p: Program, compress: bool = True,
 
     diags = well_formed(p)
     marks = collect_marks(p)
-    diags.extend(resolve_scope(p, marks).warnings)
+    verdict = resolve_scope(p, marks)
+    diags.extend(verdict.warnings)
     diags.extend(check_tailcall_annotations(p, marks))
     if diagnostics is not None:
         diagnostics.extend(diags)
     errors = [d for d in diags if d.severity == "Error"]
     if errors:
         raise TransformError(errors)
-    rw = _Rewriter(marks, compress)
-    root = ScopeEnv()
+    rw = _Rewriter(marks, verdict.calls, compress)
     try:
-        groups = [drive(rw.rewrite_group(g, root)) for g in p.groups]
-        main = drive(rw.scrub(p.main, root))
+        groups = [drive(rw.rewrite_group(g)) for g in p.groups]
+        main = drive(rw.scrub(p.main))
     except AnalysisError as exc:
         if diagnostics is not None:
             diagnostics.append(exc.diagnostic)

@@ -40,6 +40,19 @@ def marked_chain(depth: int) -> str:
             " (main (int 0)))")
 
 
+def nested_chain(depth: int) -> str:
+    """g0 defines and calls g1, which defines and calls g2, and so on down
+    to g<depth>, a marked list map: each function's body holds every
+    function below it."""
+
+    opens = "".join(f"(fun g{k} (xs) (letrec " for k in range(depth))
+    closes = "".join(f" (call g{k} xs)))" for k in range(depth, 0, -1))
+    return ("(program (letrec " + opens + f"(fun (@ tail_mod_cons) g{depth} "
+            "(xs) (match xs (case Nil (constr Nil)) (case (Cons x rest) "
+            f"(constr Cons x (call g{depth} rest)))))" + closes
+            + ") (main (int 0)))")
+
+
 @pytest.fixture
 def corpus_dir():
     return CORPUS

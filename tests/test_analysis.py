@@ -5,7 +5,6 @@ import pytest
 
 from tmc_forge.analysis import (
     AnalysisError,
-    ScopeEnv,
     check_tailcall_annotations,
     collect_marks,
     decompose_tmc,
@@ -22,13 +21,13 @@ from tmc_forge.surface import parse_program
 from conftest import load
 
 
-def marked_env(p, fname):
-    """ScopeEnv as seen from inside the body of toplevel function fname."""
-    marks = collect_marks(p)
+def eligible_calls(p, fname):
+    """The ids of p's eligible calls, and toplevel function fname."""
+    calls = resolve_scope(p, collect_marks(p)).calls
     for group in p.groups:
         for f in group:
             if f.name == fname:
-                return marks, ScopeEnv().enter(group, f), f
+                return calls, f
     raise KeyError(fname)
 
 
@@ -57,30 +56,30 @@ class TestCollectMarks:
 class TestCandidates:
     def test_map_body_has_candidate(self):
         p = load("map.tmc")
-        marks, env, f = marked_env(p, "map")
-        assert tmc_candidates(f.body, marks, env)
+        calls, f = eligible_calls(p, "map")
+        assert tmc_candidates(f.body, calls)
 
     def test_shadowed_callee_is_not_a_candidate(self):
         p = parse_program(
             "(program (letrec (fun (@ tail_mod_cons) f (g xs)"
             " (let f (call g xs) (constr Cons 1 (call f xs)))))"
             " (main 0))")
-        marks, env, f = marked_env(p, "f")
+        calls, f = eligible_calls(p, "f")
         # `f` is rebound as a value; the inner call goes through the
         # binder and must not be treated as a TMC candidate.
-        assert not tmc_candidates(f.body, marks, env)
+        assert not tmc_candidates(f.body, calls)
 
     def test_candidate_outside_marked_scope_needs_group(self):
         p = load("map_toplevel_call.tmc")
-        marks = collect_marks(p)
-        assert not tmc_candidates(p.main, marks, ScopeEnv())
+        calls = resolve_scope(p, collect_marks(p)).calls
+        assert not tmc_candidates(p.main, calls)
 
 
 class TestDecompose:
     def test_map_decomposition(self):
         p = load("map.tmc")
-        marks, env, f = marked_env(p, "map")
-        d = decompose_tmc(f.body, marks, env)
+        calls, f = eligible_calls(p, "map")
+        d = decompose_tmc(f.body, calls)
         kinds = [k for _, k in d.holes]
         assert kinds == [PLAIN_TAIL, STRICT_MOD_CONS]
         # The Cons in the body of the second clause continues in its arg1.
@@ -89,17 +88,17 @@ class TestDecompose:
 
     def test_ambiguous_two_candidate_paths(self):
         p = load("tree_map_ambiguous.tmc")
-        marks, env, f = marked_env(p, "tree_map")
+        calls, f = eligible_calls(p, "tree_map")
         with pytest.raises(AnalysisError) as ei:
-            decompose_tmc(f.body, marks, env)
+            decompose_tmc(f.body, calls)
         diag = ei.value.diagnostic
         assert diag.code == "AmbiguousTmc"
         assert len(diag.candidate_paths) == 2
 
     def test_annotation_singles_out_one_argument(self):
         p = load("tree_map_annotated.tmc")
-        marks, env, f = marked_env(p, "tree_map")
-        d = decompose_tmc(f.body, marks, env)
+        calls, f = eligible_calls(p, "tree_map")
+        d = decompose_tmc(f.body, calls)
         # Second Node argument chosen; first stays an ordinary expression.
         assert d.chosen == {id(d.context.clauses[1][1]): 1}
         assert plug(d) == f.body
@@ -108,15 +107,15 @@ class TestDecompose:
         p = parse_program(
             "(program (letrec (fun (@ tail_mod_cons) f (x) (call add1 x)))"
             " (main 0))")
-        marks, env, f = marked_env(p, "f")
-        d = decompose_tmc(f.body, marks, env)
+        calls, f = eligible_calls(p, "f")
+        d = decompose_tmc(f.body, calls)
         assert [k for _, k in d.holes] == [PLAIN_TAIL]
         assert plug(d) == f.body
 
     def test_merge_decomposition_has_four_holes(self):
         p = load("merge.tmc")
-        marks, env, f = marked_env(p, "merge")
-        d = decompose_tmc(f.body, marks, env)
+        calls, f = eligible_calls(p, "merge")
+        d = decompose_tmc(f.body, calls)
         kinds = [k for _, k in d.holes]
         assert kinds.count(STRICT_MOD_CONS) == 2
         assert kinds.count(PLAIN_TAIL) == 2
@@ -127,11 +126,11 @@ class TestDecompose:
                      "map_tail.tmc", "flatten_mutual.tmc"):
             p = load(name)
             marks = collect_marks(p)
+            calls = resolve_scope(p, marks).calls
             for group in p.groups:
                 for f in group:
                     if f.name in marks.marked:
-                        env = ScopeEnv().enter(group, f)
-                        d = decompose_tmc(f.body, marks, env)
+                        d = decompose_tmc(f.body, calls)
                         assert plug(d) == f.body, name
 
 

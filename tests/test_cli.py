@@ -109,6 +109,22 @@ class TestTransform:
         assert [ln.split()[:2] for ln in lines] == [
             ["WARNING", "UselessMark"], ["ERROR", "TailcallNotSatisfiable"]]
 
+    def test_useless_mark_on_a_nested_function(self, tmp_path, capsys,
+                                               monkeypatch):
+        # `g` is marked and local to the unmarked `f`; like the toplevel
+        # `h`, it has no strictly-modulo-cons candidate.
+        monkeypatch.setenv("TMC_FORGE_COLOR", "0")
+        src = tmp_path / "nested_useless.tmc"
+        src.write_text(
+            "(program (letrec (fun f (xs) (letrec"
+            " (fun (@ tail_mod_cons) g (ys) (call g ys)) (call g xs))))\n"
+            " (letrec (fun (@ tail_mod_cons) h (ys) (call h ys))) (main 0))")
+        code, _, err = run_main(capsys, "transform", str(src))
+        assert code == 0
+        assert [ln.split()[:3] for ln in err.splitlines()] == [
+            ["WARNING", "UselessMark", f"{src}:1:37"],
+            ["WARNING", "UselessMark", f"{src}:2:9"]]
+
     @pytest.mark.parametrize("name", ["map.tmc", "flatten_nested.tmc",
                                       "tree_map_ambiguous.tmc"])
     def test_static_analysis_runs_once(self, name, capsys, monkeypatch):
@@ -324,6 +340,8 @@ class TestBench:
      "--arg", "lst:3"),
     ("bench", "map_variants.tmc", "--entry", "map", "--arg", "fun:add1",
      "--arg", "list:N", "--sizes", "10,bogus"),
+    ("run", "map.tmc", "--entry", "map", "--arg", "fun:add1", "--arg=\u00b2"),
+    ("run", "map.tmc", "--entry", "map", "--arg", "fun:add1", "--arg=--5"),
 ])
 def test_bad_input_spec_is_a_one_line_usage_error(argv, capsys):
     cmd, name, *rest = argv
@@ -331,6 +349,17 @@ def test_bad_input_spec_is_a_one_line_usage_error(argv, capsys):
     assert code == 1
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("usage error: ")
+
+
+def test_non_ascii_digit_is_a_symbol(tmp_path, capsys):
+    src = tmp_path / "sup.tmc"
+    src.write_text("(program (main \u00b2))", encoding="utf-8")
+    for cmd in ("parse", "transform"):
+        code, out, err = run_main(capsys, cmd, str(src))
+        assert (code, out, err) == (0, "(program\n  (main \u00b2))\n", "")
+    code, out, err = run_main(capsys, "run", str(src), "--entry", "main")
+    assert code == 2 and out == ""
+    assert err == "ERROR UnboundName UnboundName: \u00b2\n"
 
 
 def test_string_quote_is_a_parse_error_not_a_hang(tmp_path):

@@ -89,6 +89,15 @@ class TestSpecs:
             with pytest.raises(BadSpec):
                 gen_value(s, Lcg(1))
 
+    def test_integer_fields_are_ascii_digits(self):
+        # The same integers as the reader's: an optional '-' and ASCII
+        # digits, so these are usage errors, not a ValueError from `int`.
+        for s in ("\u00b2", "--5", "+5", "5_0", "list:\u0663", "list: 3",
+                  "listof:3x\u00b2", "tree:+2"):
+            with pytest.raises(BadSpec):
+                gen_value(s, Lcg(1))
+        assert gen_value("-5", Lcg(1)) == -5
+
     def test_determinism(self):
         a, b = gen_value("tree:6", Lcg(9)), gen_value("tree:6", Lcg(9))
         assert a is not b and Interp(EMPTY).render(a) == Interp(EMPTY).render(b)

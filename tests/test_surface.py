@@ -12,6 +12,7 @@ from tmc_forge.ir import (
     Let,
     Match,
     PConstr,
+    PVar,
     Program,
     Seq,
     Span,
@@ -57,6 +58,18 @@ class TestSugar:
     def test_negative_int(self):
         p = parse_program("(program (main -3))")
         assert p.main == Int(-3)
+
+    @pytest.mark.parametrize("tok", ["\u00b2", "\u0663", "--5", "-", "+5",
+                                     "5_0", "5-"])
+    def test_only_ascii_digits_make_an_int(self, tok):
+        # Anything but an optional '-' and ASCII digits is a symbol, in
+        # expression and in pattern position alike.
+        p = parse_program(f"(program (letrec (fun f (x) (match x"
+                          f" (case {tok} {tok})))) (main {tok}))")
+        assert p.main == Var(tok)
+        assert p.groups[0][0].body.clauses == [(PVar(tok), Var(tok))]
+        with pytest.raises(ParseError, match="expected integer literal"):
+            parse_program(f"(program (main (int {tok})))")
 
     def test_comments_ignored(self):
         p = parse_program("; leading\n(program ; inline\n (main 1))")

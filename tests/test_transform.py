@@ -1,9 +1,13 @@
 """Destination-passing rewrite: output shape, write compression,
 tail-position discipline, determinism."""
 
+import sys
+import threading
+
 import pytest
 
 from tmc_forge.analysis import collect_marks
+from tmc_forge.gen import list_value
 from tmc_forge.ir import (
     Call,
     Constr,
@@ -17,6 +21,7 @@ from tmc_forge.ir import (
     iter_fundefs,
     well_formed,
 )
+from tmc_forge.runtime import eval_program
 from tmc_forge.surface import parse_program, print_program
 from tmc_forge.transform import (
     FreshNamer,
@@ -24,7 +29,7 @@ from tmc_forge.transform import (
     transform_program,
 )
 
-from conftest import load, marked_chain
+from conftest import load, marked_chain, nested_chain
 
 
 def fundefs(p: Program):
@@ -209,10 +214,43 @@ class TestErrorsAndDeterminism:
         assert print_program(parse_program(text)) == text
 
 
+    def test_identifiers_are_collected_once(self, monkeypatch):
+        # Fresh names avoid the program's identifier set, which
+        # collect_marks builds once, not a set per function: a function's
+        # body holds every function nested in it.
+        from tmc_forge import analysis, transform
+        seen = []
+
+        def counting(e):
+            seen.append(e)
+            return collect(e)
+
+        collect = analysis.all_identifiers
+        monkeypatch.setattr(analysis, "all_identifiers", counting)
+        assert not hasattr(transform, "all_identifiers")
+        for p in (load("flatten_nested.tmc"), parse_program(nested_chain(20))):
+            seen.clear()
+            transform_program(p)
+            assert list(map(id, seen)) == [id(p)]
+
+    def test_nested_letrec_chain_3000_deep_round_trips(self):
+        assert threading.current_thread() is threading.main_thread()
+        assert sys.getrecursionlimit() <= 1000
+        p = parse_program(nested_chain(3000))
+        t = transform_program(p)
+        assert set(fundefs(t)) == {f"g{k}" for k in range(3001)} | {"g3000_dps"}
+        # Compared as text: dataclass equality this deep would recurse.
+        text = print_program(t)
+        assert print_program(parse_program(text)) == text
+        arg = list_value([1, 2, 3])
+        v1, _, i1 = eval_program(p, "g0", [arg])
+        v2, m2, i2 = eval_program(t, "g0", [arg])
+        assert i1.render(v1) == i2.render(v2) == "(Cons 1 (Cons 2 (Cons 3 Nil)))"
+
+
 class TestFreshNamer:
     def test_avoids_reserved(self):
-        n = FreshNamer()
-        n.reserve({"dst0", "y0"})
+        n = FreshNamer({"dst0", "y0"})
         assert n.fresh("dst") == "dst1"
         assert n.fresh("y") == "y1"
         assert n.fresh("y") == "y2"
