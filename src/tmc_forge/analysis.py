@@ -1,27 +1,23 @@
 """TMC candidate analysis.
 
-Finds marked functions, resolves which call sites are rewrite-eligible
-(minimal scope at toplevel, maximal inside marked functions), and computes
-the tail-modulo-cons context decomposition of a body -- or reports the
-ambiguity when two constructor arguments compete for the single sub-context.
+Finds marked functions and, in one walk (`_visit_all`), resolves which
+call sites are rewrite-eligible (minimal scope at toplevel, maximal inside
+marked functions) and finds the tail-modulo-cons context of every body --
+or reports the ambiguity when two constructor arguments compete for the
+single sub-context.  `ScopeVerdict` holds the results.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import count
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .ir import (
     BUILTINS,
-    PLAIN_TAIL,
-    STRICT_MOD_CONS,
     TAIL_MOD_CONS,
     TAILCALL,
     Call,
     Constr,
-    Decomposition,
-    DecompHole,
     Diagnostic,
     Expr,
     FunDef,
@@ -34,14 +30,7 @@ from .ir import (
     drive,
     iter_fundefs,
     path_of,
-    with_children,
 )
-
-
-class AnalysisError(Exception):
-    def __init__(self, diagnostic: Diagnostic):
-        self.diagnostic = diagnostic
-        super().__init__(diagnostic.message)
 
 
 @dataclass
@@ -77,13 +66,20 @@ def collect_marks(p: Program) -> MarkSet:
 @dataclass
 class ScopeVerdict:
     """The scope rule's verdict on every call to a marked function by its
-    own name, not shadowed by a binder."""
+    own name, not shadowed by a binder, and the context of every body: the
+    nodes on the way down to its candidates, the eligible calls in its
+    tail-modulo-cons positions.  All else the rewrite reaches is a hole."""
 
     # ids of the eligible calls, valid while the program they belong to lives
     calls: set[int] = field(default_factory=set)
     # (the call's link for `path_of`, whether it is eligible), in walk order
     sites: list[tuple[tuple, bool]] = field(default_factory=list)
+    # id(node of a context) -> for a constructor, the index of the argument
+    # that holds the rest of the context; None for any other node
+    context: dict[int, Optional[int]] = field(default_factory=dict)
     warnings: list[Diagnostic] = field(default_factory=list)
+    # one AmbiguousTmc per constructor whose arguments compete, in order
+    errors: list[Diagnostic] = field(default_factory=list)
 
     @property
     def eligible_paths(self) -> dict[Path, bool]:
@@ -92,112 +88,19 @@ class ScopeVerdict:
         return {path_of(at): ok for at, ok in self.sites}
 
 
-@dataclass(frozen=True)
-class Candidate:
-    """An eligible marked call in a tail-modulo-cons position."""
-
-    path: Path
-    under_constr: bool  # some position on the way down is a constructor argument
-    annotated: bool  # the call carries (@ tailcall)
-
-
-def tmc_candidates(e: Expr, calls: set[int],
-                   live: Optional[dict] = None) -> list[Candidate]:
-    """Every eligible call (its id is in `calls`, see `ScopeVerdict`) in a
-    tail-modulo-cons position of `e`, left to right.
-
-    When given, `live` is filled for every node on the way down to a
-    candidate, the candidate included.  A node's key is (its parent's
-    pre-order number, its label), and (-1, "") for `e`; its value is (its
-    own pre-order number, or None for a candidate, and whether an
-    annotated candidate lies below it)."""
-
-    out: list[Candidate] = []
-    preorder = count()
-
-    def go(x: Expr, key: tuple, under: bool, at: tuple):
-        """Whether an annotated candidate lies below x; None if none does."""
-        pos = next(preorder)
-        if id(x) in calls:
-            annotated = TAILCALL in x.attrs
-            out.append(Candidate(path_of(at), under, annotated))
-            pos = None
-        else:
-            annotated = None
-            for label, c, _, tmc in children(x):
-                if tmc is None:  # not a tail-modulo-cons position
-                    continue
-                below = yield go(c, (pos, label), under or tmc, (label, at))
-                if below is not None:
-                    annotated = annotated or below
-        if annotated is not None and live is not None:
-            live[key] = (pos, annotated)
-        return annotated
-
-    drive(go(e, (-1, ""), False, ()))
-    return out
-
-
-def decompose_tmc(e: Expr, calls: set[int]) -> Decomposition:
-    """Compute the TMC context decomposition of `e`; `calls` holds the ids
-    of the eligible calls (see `ScopeVerdict`).
-
-    Raises AnalysisError(AmbiguousTmc) when two constructor arguments
-    contain candidates and annotations do not single one out.
-    """
-
-    live: dict[tuple, tuple] = {}
-    cands = tmc_candidates(e, calls, live)
-    holes: list[tuple[Expr, str]] = []
-    chosen: dict[int, int] = {}
-
-    def go(x: Expr, key: tuple, under: bool, at: tuple):
-        entry = live.get(key)
-        if entry is None or entry[0] is None:  # not live, or a candidate
-            holes.append((x, STRICT_MOD_CONS if under else PLAIN_TAIL))
-            return DecompHole(len(holes) - 1)
-        pos = entry[0]
-        kids = children(x)
-        tails = [label for label, _, _, tmc in kids if tmc is not None]
-        if isinstance(x, Constr):
-            tails = [label for label in tails if (pos, label) in live]
-            if len(tails) > 1:
-                picked = [label for label in tails if live[pos, label][1]]
-                if len(picked) != 1:
-                    p = path_of(at)
-                    raise AnalysisError(Diagnostic(
-                        "Error", "AmbiguousTmc",
-                        f"{len(tails)} constructor arguments contain TMC "
-                        "candidates; add a (@ tailcall) annotation to pick one",
-                        x.span, p, candidate_paths=[
-                            c.path for c in cands if c.path[:len(p)] == p]))
-                tails = picked
-            under = True
-        new = []
-        for i, (label, c, _, _) in enumerate(kids):
-            if label in tails:
-                c = yield go(c, (pos, label), under, (label, at))
-                j = i
-            new.append(c)
-        out = with_children(x, new)
-        if isinstance(x, Constr):
-            chosen[id(out)] = j
-        return out
-
-    return Decomposition(drive(go(e, (-1, ""), False, ())), holes, chosen)
-
-
 def _visit_all(p: Program, marks: MarkSet, visit) -> None:
-    """Call visit(x, eligible, marked, tail, under_constr, at) for every
-    function definition and expression x of p, after visiting what lies
-    inside it.  This walk is the one place that applies the scope rule:
-    `eligible` is None unless x calls a marked function by its own name,
-    not shadowed by a binder, and then says whether the call may be
+    """Call visit(x, eligible, marked, tail, under_constr, at, below) for
+    every function definition and expression x of p, after visiting what
+    lies inside it.  This walk is the one place that applies the scope
+    rule: `eligible` is None unless x calls a marked function by its own
+    name, not shadowed by a binder, and then says whether the call may be
     rewritten -- anywhere inside a marked function (`marked`), elsewhere
     only from within the callee's own group.  `tail` says that x is in a
-    tail-modulo-cons position of its function or main, `under_constr` that
-    a constructor argument lies on the way there, and `at` is x's link for
-    `path_of`."""
+    tail-modulo-cons position of its function, `under_constr` that a
+    constructor argument lies on the way there, and `at` is x's link for
+    `path_of`.  `below` lists (i, r) for each i-th child of x in a
+    tail-modulo-cons position (a function's body, for a definition) whose
+    visit returned r other than None."""
 
     groups: dict[str, int] = {}  # the names of the enclosing groups, see `bind`
 
@@ -205,26 +108,31 @@ def _visit_all(p: Program, marks: MarkSet, visit) -> None:
              under: bool, at: tuple):
         if isinstance(e, Letrec):
             yield group(e.group, marked, at)
-        for label, c, bound, tmc in children(e):
+        below = []
+        for i, (label, c, bound, tmc) in enumerate(children(e)):
             bind(scope, bound, 1)
             if tmc is None:
                 yield walk(c, marked, scope, False, False, (label, at))
             else:
-                yield walk(c, marked, scope, tail, under or tmc, (label, at))
+                r = yield walk(c, marked, scope, tail, under or tmc,
+                               (label, at))
+                if r is not None:
+                    below.append((i, r))
             bind(scope, bound, -1)
         eligible = None
         if (isinstance(e, Call) and e.callee in marks.marked
                 and e.callee not in scope):
             eligible = marked or e.callee in groups
-        visit(e, eligible, marked, tail, under, at)
+        return visit(e, eligible, marked, tail, under, at, below)
 
     def group(fs: list[FunDef], marked: bool, at: tuple):
         bind(groups, [f.name for f in fs], 1)
         for f in fs:
             inside = marked or TAIL_MOD_CONS in f.attrs
-            yield walk(f.body, inside, dict.fromkeys(f.params, 1), True,
-                       False, (f.name, at))
-            visit(f, None, inside, False, False, (f.name, at))
+            r = yield walk(f.body, inside, dict.fromkeys(f.params, 1), True,
+                           False, (f.name, at))
+            visit(f, None, inside, False, False, (f.name, at),
+                  [] if r is None else [(0, r)])
         bind(groups, [f.name for f in fs], -1)
 
     for gi, fs in enumerate(p.groups):
@@ -232,29 +140,87 @@ def _visit_all(p: Program, marks: MarkSet, visit) -> None:
     drive(walk(p.main, False, {}, False, False, ("main", ())))
 
 
+class _Found(NamedTuple):
+    """The candidates below a node of a body, the node included."""
+
+    annotated: bool  # one of them carries (@ tailcall)
+    strict: bool  # one of them is strictly modulo cons
+    links: object  # their links for `path_of`, as a tree for `_leaves`
+    errors: object  # the AmbiguousTmc errors on the way, as a tree
+
+
+def _leaves(tree) -> list:
+    """The leaves of a tree of lists, left to right; None is empty."""
+
+    out, stack = [], [tree]
+    while stack:
+        x = stack.pop()
+        if isinstance(x, list):
+            stack.extend(reversed(x))
+        elif x is not None:
+            out.append(x)
+    return out
+
+
 def resolve_scope(p: Program, marks: MarkSet) -> ScopeVerdict:
-    """Decide every call site that targets a marked function, and warn
-    about each marked function, nested ones included, that has no
-    strictly-modulo-cons candidate."""
+    """Decide every call site that targets a marked function and find the
+    context of every function body, in one walk.  Warn about each marked
+    function, nested ones included, that has no strictly-modulo-cons
+    candidate, and report each constructor of a context whose arguments
+    hold candidates when annotations do not single one argument out."""
 
     verdict = ScopeVerdict()
     useless: dict[int, Diagnostic] = {}
 
-    def visit(x, eligible: Optional[bool], marked, tail, under, at: tuple):
+    def visit(x, eligible: Optional[bool], marked, tail, under, at: tuple,
+              below: list) -> Optional[_Found]:
         if eligible is not None:
             verdict.sites.append((at, eligible))
             if eligible:
                 verdict.calls.add(id(x))
-        elif isinstance(x, FunDef) and TAIL_MOD_CONS in x.attrs and not any(
-                c.under_constr for c in tmc_candidates(x.body, verdict.calls)):
-            useless[id(x)] = Diagnostic(
-                "Warning", "UselessMark",
-                f"'{x.name}' has no strictly-modulo-cons candidate; "
-                "its DPS version is trivial", x.span, path_of(at))
+                if tail:
+                    return _Found(TAILCALL in x.attrs, under, at, None)
+            return None
+        if isinstance(x, FunDef):
+            body = below[0][1] if below else None
+            verdict.errors.extend(_leaves(body and body.errors))
+            if TAIL_MOD_CONS in x.attrs and not (body and body.strict):
+                useless[id(x)] = Diagnostic(
+                    "Warning", "UselessMark",
+                    f"'{x.name}' has no strictly-modulo-cons candidate; "
+                    "its DPS version is trivial", x.span, path_of(at))
+            return None
+        if not below:
+            return None
+        if len(below) == 1:
+            i, found = below[0]
+            verdict.context[id(x)] = i if isinstance(x, Constr) else None
+            return found
+        found = [r for _, r in below]
+        links = [r.links for r in found]
+        errors = [r.errors for r in found]
+        if not isinstance(x, Constr):
+            verdict.context[id(x)] = None
+        else:
+            picked = [(i, r) for i, r in below if r.annotated]
+            if len(picked) == 1:  # the other arguments are holes
+                verdict.context[id(x)] = picked[0][0]
+                errors = picked[0][1].errors
+            else:
+                errors.insert(0, Diagnostic(
+                    "Error", "AmbiguousTmc",
+                    f"{len(below)} constructor arguments contain TMC "
+                    "candidates; add a (@ tailcall) annotation to pick one",
+                    x.span, path_of(at),
+                    candidate_paths=[path_of(c) for c in _leaves(links)]))
+        return _Found(any(r.annotated for r in found),
+                      any(r.strict for r in found), links, errors)
 
     _visit_all(p, marks, visit)
     verdict.warnings = [useless[id(f)] for f in iter_fundefs(p)
                         if id(f) in useless]
+    # A nested function's errors were found before its encloser's.
+    verdict.errors.sort(key=lambda d: d.span.byte_start if d.span else 0)
     return verdict
 
 
@@ -269,7 +235,7 @@ def check_tailcall_annotations(p: Program, marks: MarkSet) -> list[Diagnostic]:
     diags: list[Diagnostic] = []
 
     def visit(x, eligible: Optional[bool], marked: bool, tail: bool,
-              under_constr: bool, at: tuple):
+              under_constr: bool, at: tuple, below: list):
         if isinstance(x, Call) and TAILCALL in x.attrs:
             # Holds in a plain tail position, or a TMC one that is rewritten.
             if not (tail and (eligible or not under_constr)):

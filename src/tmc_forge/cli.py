@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import csv as csv_mod
 import os
+import pathlib
 import sys
 from dataclasses import dataclass, field
 
@@ -40,10 +41,24 @@ def _emit_diags(diags: list[Diagnostic], filename: str) -> None:
         print(line, file=sys.stderr)
 
 
+class UsageError(Exception):
+    """A file that cannot be read or written."""
+
+
 def _load(path: str):
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
+    try:
+        text = pathlib.Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        why = exc.strerror if isinstance(exc, OSError) else "not UTF-8 text"
+        raise UsageError(f"cannot read {path!r}: {why}") from None
     return parse_program(text)
+
+
+def _create(path: str):
+    try:
+        return open(path, "w", newline="", encoding="utf-8")
+    except OSError as exc:
+        raise UsageError(f"cannot write {path!r}: {exc.strerror}") from None
 
 
 @dataclass
@@ -156,7 +171,7 @@ def cmd_transform(args) -> int:
 
 def _write_out(args, program: Program) -> None:
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
+        with _create(args.out) as fh:
             print_program(program, fh.write)
             fh.write("\n")
     else:
@@ -203,7 +218,7 @@ def cmd_bench(args) -> int:
                      args.max_stack, args.max_steps)
     print(_bench_table(rows))
     if args.csv:
-        with open(args.csv, "w", newline="", encoding="utf-8") as fh:
+        with _create(args.csv) as fh:
             w = csv_mod.writer(fh)
             w.writerow(["variant", "size", "max_stack_depth", "allocations",
                         "dest_writes", "steps"])
@@ -285,7 +300,7 @@ def main(argv=None) -> int:
     except TmcRuntimeError as exc:
         print(f"ERROR {exc.code} {exc}", file=sys.stderr)
         return 2
-    except BadSpec as exc:
+    except (BadSpec, UsageError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
 

@@ -1,7 +1,8 @@
 """Tree IR for the small first-order language.
 
-Expressions, patterns, function definitions and programs, plus the
-decomposition data shared by the analysis and transform passes.
+Expressions, patterns, function definitions and programs; `children`,
+the one definition of tail-modulo-cons positions, and the `drive` loop
+that runs every tree walker without host recursion; well-formedness.
 Trees are immutable by convention: passes always rebuild.
 """
 
@@ -17,7 +18,7 @@ TAILCALL = "tailcall"
 BUILTINS = {"add": 2, "sub": 2, "leq": 2, "eq": 2, "print": 1, "add1": 1}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Span:
     """Byte/line/column range into the source text."""
 
@@ -157,34 +158,6 @@ class Program:
     main: Expr
 
 
-# ---------------------------------------------------------------------------
-# Decomposition data.
-#
-# A decomposition context mirrors the expression tree but has DecompHole
-# leaves; the i-th DecompHole (left to right) corresponds to holes[i].
-# ---------------------------------------------------------------------------
-
-PLAIN_TAIL = "plain_tail"
-STRICT_MOD_CONS = "strict_mod_cons"
-
-
-@dataclass
-class DecompHole(Expr):
-    """Context leaf; `index` points into Decomposition.holes."""
-
-    index: int
-    span: Optional[Span] = _span_field()
-
-
-@dataclass
-class Decomposition:
-    context: Expr
-    holes: list[tuple[Expr, str]]  # (expression, PLAIN_TAIL | STRICT_MOD_CONS)
-    # id(constructor of the context) -> index of the argument that holds
-    # the rest of the context
-    chosen: dict[int, int]
-
-
 Path = tuple
 
 
@@ -283,29 +256,6 @@ def path_of(at: tuple) -> Path:
         label, at = at
         labels.append(label)
     return tuple(reversed(labels))
-
-
-def plug(d: Decomposition) -> Expr:
-    """Rebuild the original expression from a decomposition."""
-
-    used = 0
-
-    def go(e: Expr):
-        nonlocal used
-        if isinstance(e, DecompHole):
-            if e.index >= len(d.holes):
-                raise ValueError("decomposition arity mismatch")
-            used += 1
-            return d.holes[e.index][0]
-        new = []
-        for _, c, _, _ in children(e):
-            new.append((yield go(c)))
-        return with_children(e, new)
-
-    out = drive(go(d.context))
-    if used != len(d.holes):
-        raise ValueError("decomposition arity mismatch")
-    return out
 
 
 # ---------------------------------------------------------------------------

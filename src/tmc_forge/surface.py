@@ -77,13 +77,13 @@ _TOKEN = re.compile(r'(?:[ \t\r\n]|;[^\n]*)*(?:(\()|(\))|([^()"; \t\r\n]+)|(")|\
 _OPEN, _CLOSE, _ATOM = 1, 2, 3
 
 
-@dataclass
+@dataclass(slots=True)
 class Atom:
     text: str
     span: Span
 
 
-@dataclass
+@dataclass(slots=True)
 class SList:
     items: list
     span: Span

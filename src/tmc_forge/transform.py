@@ -10,6 +10,7 @@ For each marked function f this produces:
   * the rewritten direct f -- same interface as before; plain tail
     positions are untouched, and the switch into DPS happens only inside
     a constructor whose chosen argument holds an eligible call.
+Both walk the original body: a node outside `ScopeVerdict.context` is a hole.
 """
 
 from __future__ import annotations
@@ -18,18 +19,15 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .analysis import (
-    AnalysisError,
     MarkSet,
+    ScopeVerdict,
     check_tailcall_annotations,
     collect_marks,
-    decompose_tmc,
     resolve_scope,
 )
 from .ir import (
     Call,
     Constr,
-    Decomposition,
-    DecompHole,
     Diagnostic,
     Expr,
     FunDef,
@@ -108,9 +106,10 @@ class _Rewriter:
     """The walkers are generators run by `ir.drive`: each yields its
     sub-walks and is sent their results."""
 
-    def __init__(self, marks: MarkSet, calls: set[int], compress: bool = True):
+    def __init__(self, marks: MarkSet, verdict: ScopeVerdict, compress=True):
         self.marks = marks
-        self.calls = calls  # ids of the eligible calls, see `ScopeVerdict`
+        self.calls = verdict.calls
+        self.context = verdict.context
         self.dps_names = set(marks.dps_name.values())
         self.compress = compress
         # id(group) -> rewritten group; see rewrite_group.
@@ -135,30 +134,29 @@ class _Rewriter:
 
     def rewrite_group(self, group: list[FunDef]):
         """The direct version of every function of the group, each followed
-        by its DPS version when marked.  Each body is decomposed once.  A
-        nested group lies in the context of both versions of its enclosing
-        function; it is rewritten once and shared by the two."""
+        by its DPS version when marked.  A nested group lies in the context
+        of both versions of its enclosing function; it is rewritten once
+        and shared by the two."""
 
         done = self.groups.get(id(group))
         if done is not None:
             return done
         out: list[FunDef] = []
         for f in group:
-            d = decompose_tmc(f.body, self.calls)
-            body = yield self._ctx(d.context, d, None, None,
+            body = yield self._ctx(f.body, None, None,
                                    FreshNamer(self.marks.used))
             out.append(FunDef(f.name, list(f.params), body, frozenset(),
                               span=f.span))
             if f.name in self.marks.marked:
-                out.append((yield self._dps_fun(f, d,
+                out.append((yield self._dps_fun(f,
                                                 FreshNamer(self.marks.used))))
         self.groups[id(group)] = out
         return out
 
-    def _dps_fun(self, f: FunDef, d: Decomposition, namer: FreshNamer):
+    def _dps_fun(self, f: FunDef, namer: FreshNamer):
         dst = namer.fresh("dst") if "dst" in namer.used else "dst"
         idx = namer.fresh("idx") if "idx" in namer.used else "idx"
-        body = yield self._ctx(d.context, d, Dest(dst, Var(idx)), None, namer)
+        body = yield self._ctx(f.body, Dest(dst, Var(idx)), None, namer)
         check_single_completion(body, self.dps_names)
         return FunDef(self.marks.dps_name[f.name], [dst, idx] + list(f.params),
                       body, frozenset(), span=f.span)
@@ -179,75 +177,74 @@ class _Rewriter:
         return (Dest(d2, Int(inner.hole_index)),
                 lambda rest: Let(d2, alloc, Seq(write, rest)))
 
-    def _ctx(self, node: Expr, d: Decomposition, dest: Optional[Dest],
-             cctx: Optional[tuple], namer: FreshNamer):
-        """Rewrite the context `node` of `d` into the direct version of its
-        function when `dest` is None, else into DPS code that writes the
-        result, wrapped in the delayed `cctx` (see `_plug`), to `dest`."""
+    def _ctx(self, node: Expr, dest: Optional[Dest], cctx: Optional[tuple],
+             namer: FreshNamer):
+        """Rewrite `node`, a body or part of its context, into the direct
+        version of its function when `dest` is None, else into DPS code that
+        writes the result, wrapped in the delayed `cctx`, to `dest`."""
 
-        if isinstance(node, DecompHole):
-            expr = d.holes[node.index][0]
+        if id(node) not in self.context:  # a hole
             if dest is None:
-                return (yield self.scrub(expr))
-            if id(expr) in self.calls:
+                return (yield self.scrub(node))
+            if id(node) in self.calls:
                 if cctx:
                     dest, wrap = self._reify(dest, cctx, namer)
-                    return wrap((yield self._dps_call(expr, dest)))
-                return (yield self._dps_call(expr, dest))
-            return dest.setref(_plug(cctx, (yield self.scrub(expr))))
+                    return wrap((yield self._dps_call(node, dest)))
+                return (yield self._dps_call(node, dest))
+            return dest.setref(_plug(cctx, (yield self.scrub(node))))
         if isinstance(node, Constr):
             if dest is None:
                 # The constructor rule: switch to DPS inside the allocation.
-                dvar, alloc, inner = yield self._open(node, d, namer)
+                dvar, alloc, inner = yield self._open(node, namer)
                 return Let(dvar, alloc, Seq(inner, Var(dvar)))
-            return (yield self._dps_constr(node, d, dest, cctx, namer))
+            return (yield self._dps_constr(node, dest, cctx, namer))
         if isinstance(node, Match) and cctx and len(node.clauses) >= 2:
             # A multi-branch match would duplicate the delayed context.
             dest, wrap = self._reify(dest, cctx, namer)
-            return wrap((yield self._ctx(node, d, dest, None, namer)))
+            return wrap((yield self._ctx(node, dest, None, namer)))
         if isinstance(node, Letrec):
             group = yield self.rewrite_group(node.group)
             return Letrec(group,
-                          (yield self._ctx(node.body, d, dest, cctx, namer)),
+                          (yield self._ctx(node.body, dest, cctx, namer)),
                           span=node.span)
         new = []
         for _, c, _, tmc in children(node):
             if tmc is not None:
-                c = yield self._ctx(c, d, dest, cctx, namer)
+                c = yield self._ctx(c, dest, cctx, namer)
             else:
                 c = yield self.scrub(c)
             new.append(c)
         return with_children(node, new)
 
-    def _split(self, node: Constr, d: Decomposition):
+    def _split(self, node: Constr):
         """The index of the argument holding the context, and the scrubbed
         arguments left and right of it."""
 
-        j = d.chosen[id(node)]
+        j = self.context[id(node)]
         args = []
         for i, a in enumerate(node.args):
             args.append(a if i == j else (yield self.scrub(a)))
         return j, args[:j], args[j + 1:]
 
-    def _open(self, node: Constr, d: Decomposition, namer: FreshNamer):
+    def _open(self, node: Constr, namer: FreshNamer):
         """Allocate `node` with a hole in the argument holding the context:
         the block variable, the allocation, and that argument's DPS rewrite
         into the hole."""
 
-        j, left, right = yield self._split(node, d)
+        j, left, right = yield self._split(node)
         dvar = namer.fresh("dst")
         alloc = Constr(node.tag, left + [Hole()] + right, span=node.span)
-        inner = yield self._ctx(node.args[j], d, Dest(dvar, Int(j + 1)), None,
+        inner = yield self._ctx(node.args[j], Dest(dvar, Int(j + 1)), None,
                                 namer)
         return dvar, alloc, inner
 
-    def _dps_constr(self, node: Constr, d: Decomposition, dest: Dest,
-                    cctx: Optional[tuple], namer: FreshNamer):
+    def _dps_constr(self, node: Constr, dest: Dest, cctx: Optional[tuple],
+                    namer: FreshNamer):
         if not self.compress:
             # Naive constructor rule: allocate and write immediately.
-            dvar, alloc, inner = yield self._open(node, d, namer)
+            dvar, alloc, inner = yield self._open(node, namer)
             return Let(dvar, alloc, Seq(dest.setref(Var(dvar)), inner))
-        j, left_exprs, right_exprs = yield self._split(node, d)
+        j, left_exprs, right_exprs = yield self._split(node)
         binds: list[tuple[str, Expr]] = []
 
         def atom(e: Expr) -> Expr:
@@ -260,7 +257,7 @@ class _Rewriter:
         left_atoms = tuple(atom(e) for e in left_exprs)
         right_atoms = tuple(atom(e) for e in right_exprs)
         layer = CLayer(node.tag, left_atoms, right_atoms)
-        out = yield self._ctx(node.args[j], d, dest, (layer, cctx), namer)
+        out = yield self._ctx(node.args[j], dest, (layer, cctx), namer)
         for v, e in reversed(binds):
             out = Let(v, e, out)
         return out
@@ -302,17 +299,12 @@ def transform_program(p: Program, compress: bool = True,
     verdict = resolve_scope(p, marks)
     diags.extend(verdict.warnings)
     diags.extend(check_tailcall_annotations(p, marks))
+    diags.extend(verdict.errors)
     if diagnostics is not None:
         diagnostics.extend(diags)
     errors = [d for d in diags if d.severity == "Error"]
     if errors:
         raise TransformError(errors)
-    rw = _Rewriter(marks, verdict.calls, compress)
-    try:
-        groups = [drive(rw.rewrite_group(g)) for g in p.groups]
-        main = drive(rw.scrub(p.main))
-    except AnalysisError as exc:
-        if diagnostics is not None:
-            diagnostics.append(exc.diagnostic)
-        raise TransformError([exc.diagnostic]) from exc
-    return Program(groups, main)
+    rw = _Rewriter(marks, verdict, compress)
+    groups = [drive(rw.rewrite_group(g)) for g in p.groups]
+    return Program(groups, drive(rw.scrub(p.main)))

@@ -1,34 +1,49 @@
-"""Candidate detection, context decomposition, scope, and annotation
+"""Scope, the tail-modulo-cons context of each body, and annotation
 checks."""
 
-import pytest
-
 from tmc_forge.analysis import (
-    AnalysisError,
     check_tailcall_annotations,
     collect_marks,
-    decompose_tmc,
     resolve_scope,
-    tmc_candidates,
 )
-from tmc_forge.ir import (
-    PLAIN_TAIL,
-    STRICT_MOD_CONS,
-    plug,
-)
+from tmc_forge.ir import Constr, children
 from tmc_forge.surface import parse_program
 
 from conftest import load
 
 
-def eligible_calls(p, fname):
-    """The ids of p's eligible calls, and toplevel function fname."""
-    calls = resolve_scope(p, collect_marks(p)).calls
+def verdict_and_function(p, fname):
+    """p's scope verdict, and toplevel function fname."""
+    verdict = resolve_scope(p, collect_marks(p))
     for group in p.groups:
         for f in group:
             if f.name == fname:
-                return calls, f
+                return verdict, f
     raise KeyError(fname)
+
+
+def decomposition(verdict, body):
+    """The context nodes of body that the rewrite reaches, and its holes,
+    left to right, each with whether a constructor argument lies on the way
+    (strictly modulo cons)."""
+    nodes, holes, stack = [], [], [(body, False)]
+    while stack:
+        x, under = stack.pop()
+        if id(x) not in verdict.context:
+            holes.append((x, under))
+            continue
+        nodes.append(x)
+        kids = [(c, under or tmc) for _, c, _, tmc in children(x)
+                if tmc is not None]
+        if isinstance(x, Constr):
+            kids = [kids[verdict.context[id(x)]]]
+        stack.extend(reversed(kids))
+    return nodes, holes
+
+
+def chosen(verdict):
+    """id(constructor) -> the argument that holds the rest of the context."""
+    return {k: j for k, j in verdict.context.items() if j is not None}
 
 
 class TestCollectMarks:
@@ -56,82 +71,89 @@ class TestCollectMarks:
 class TestCandidates:
     def test_map_body_has_candidate(self):
         p = load("map.tmc")
-        calls, f = eligible_calls(p, "map")
-        assert tmc_candidates(f.body, calls)
+        verdict, f = verdict_and_function(p, "map")
+        assert id(f.body) in verdict.context
 
     def test_shadowed_callee_is_not_a_candidate(self):
         p = parse_program(
             "(program (letrec (fun (@ tail_mod_cons) f (g xs)"
             " (let f (call g xs) (constr Cons 1 (call f xs)))))"
             " (main 0))")
-        calls, f = eligible_calls(p, "f")
         # `f` is rebound as a value; the inner call goes through the
         # binder and must not be treated as a TMC candidate.
-        assert not tmc_candidates(f.body, calls)
+        assert resolve_scope(p, collect_marks(p)).context == {}
 
     def test_candidate_outside_marked_scope_needs_group(self):
+        # main's call to the marked map is not eligible, and map's own
+        # context is the only one.
         p = load("map_toplevel_call.tmc")
-        calls = resolve_scope(p, collect_marks(p)).calls
-        assert not tmc_candidates(p.main, calls)
+        verdict, f = verdict_and_function(p, "map")
+        nodes, _ = decomposition(verdict, f.body)
+        assert sorted(verdict.context) == sorted(map(id, nodes))
 
 
 class TestDecompose:
     def test_map_decomposition(self):
         p = load("map.tmc")
-        calls, f = eligible_calls(p, "map")
-        d = decompose_tmc(f.body, calls)
-        kinds = [k for _, k in d.holes]
-        assert kinds == [PLAIN_TAIL, STRICT_MOD_CONS]
+        verdict, f = verdict_and_function(p, "map")
+        _, holes = decomposition(verdict, f.body)
+        assert [under for _, under in holes] == [False, True]
+        assert id(holes[1][0]) in verdict.calls
         # The Cons in the body of the second clause continues in its arg1.
-        assert d.chosen == {id(d.context.clauses[1][1].body): 1}
-        assert plug(d) == f.body
+        assert chosen(verdict) == {id(f.body.clauses[1][1].body): 1}
 
     def test_ambiguous_two_candidate_paths(self):
         p = load("tree_map_ambiguous.tmc")
-        calls, f = eligible_calls(p, "tree_map")
-        with pytest.raises(AnalysisError) as ei:
-            decompose_tmc(f.body, calls)
-        diag = ei.value.diagnostic
+        verdict = resolve_scope(p, collect_marks(p))
+        [diag] = verdict.errors
         assert diag.code == "AmbiguousTmc"
-        assert len(diag.candidate_paths) == 2
+        assert diag.path == ("group0", "tree_map", "clause1")
+        assert diag.candidate_paths == [
+            ("group0", "tree_map", "clause1", "arg0"),
+            ("group0", "tree_map", "clause1", "arg1")]
 
     def test_annotation_singles_out_one_argument(self):
         p = load("tree_map_annotated.tmc")
-        calls, f = eligible_calls(p, "tree_map")
-        d = decompose_tmc(f.body, calls)
+        verdict, f = verdict_and_function(p, "tree_map")
         # Second Node argument chosen; first stays an ordinary expression.
-        assert d.chosen == {id(d.context.clauses[1][1]): 1}
-        assert plug(d) == f.body
+        assert chosen(verdict) == {id(f.body.clauses[1][1]): 1}
+        assert verdict.errors == []
 
     def test_trivial_body_is_one_plain_hole(self):
         p = parse_program(
             "(program (letrec (fun (@ tail_mod_cons) f (x) (call add1 x)))"
             " (main 0))")
-        calls, f = eligible_calls(p, "f")
-        d = decompose_tmc(f.body, calls)
-        assert [k for _, k in d.holes] == [PLAIN_TAIL]
-        assert plug(d) == f.body
+        verdict, f = verdict_and_function(p, "f")
+        assert id(f.body) not in verdict.context
+        assert decomposition(verdict, f.body) == ([], [(f.body, False)])
 
     def test_merge_decomposition_has_four_holes(self):
         p = load("merge.tmc")
-        calls, f = eligible_calls(p, "merge")
-        d = decompose_tmc(f.body, calls)
-        kinds = [k for _, k in d.holes]
-        assert kinds.count(STRICT_MOD_CONS) == 2
-        assert kinds.count(PLAIN_TAIL) == 2
-        assert plug(d) == f.body
+        verdict, f = verdict_and_function(p, "merge")
+        kinds = [under for _, under in decomposition(verdict, f.body)[1]]
+        assert kinds.count(True) == 2
+        assert kinds.count(False) == 2
 
-    def test_decomposition_round_trips_on_all_marked_corpus_bodies(self):
+    def test_every_context_leads_to_a_candidate_on_marked_corpus_bodies(self):
         for name in ("map.tmc", "filter.tmc", "merge.tmc", "umap.tmc",
                      "map_tail.tmc", "flatten_mutual.tmc"):
             p = load(name)
             marks = collect_marks(p)
-            calls = resolve_scope(p, marks).calls
+            verdict = resolve_scope(p, marks)
             for group in p.groups:
                 for f in group:
-                    if f.name in marks.marked:
-                        d = decompose_tmc(f.body, calls)
-                        assert plug(d) == f.body, name
+                    if f.name not in marks.marked:
+                        continue
+                    nodes, holes = decomposition(verdict, f.body)
+                    candidates = [h for h, _ in holes
+                                  if id(h) in verdict.calls]
+                    assert candidates, name
+                    # A constructor's chosen argument holds a candidate.
+                    for x in nodes:
+                        if isinstance(x, Constr):
+                            arg = x.args[verdict.context[id(x)]]
+                            assert (id(arg) in verdict.context
+                                    or id(arg) in verdict.calls), name
 
 
 class TestScope:

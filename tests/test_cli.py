@@ -125,6 +125,36 @@ class TestTransform:
             ["WARNING", "UselessMark", f"{src}:1:37"],
             ["WARNING", "UselessMark", f"{src}:2:9"]]
 
+    def test_every_ambiguous_constructor_is_reported(self, tmp_path,
+                                                     capsys, monkeypatch):
+        # Both Node constructors have two arguments with candidates.
+        monkeypatch.setenv("TMC_FORGE_COLOR", "0")
+        src = tmp_path / "twice.tmc"
+        src.write_text(
+            "(program (letrec (fun (@ tail_mod_cons) t (x) (match x\n"
+            " (case Leaf (constr Leaf))\n"
+            " (case (Node l r) (constr Node (call t l)\n"
+            "   (constr Node (call t l) (call t r))))))) (main 0))")
+        code, out, err = run_main(capsys, "transform", str(src))
+        assert code == 1 and out == ""
+        assert [ln.split()[:3] for ln in err.splitlines()] == [
+            ["ERROR", "AmbiguousTmc", f"{src}:3:18"],
+            ["ERROR", "AmbiguousTmc", f"{src}:4:3"]]
+
+    def test_ambiguity_is_reported_with_other_errors(self, tmp_path, capsys,
+                                                     monkeypatch):
+        monkeypatch.setenv("TMC_FORGE_COLOR", "0")
+        src = tmp_path / "both.tmc"
+        src.write_text(
+            "(program (letrec (fun (@ tail_mod_cons) t (x) (match x"
+            " (case Leaf (let y (call (@ tailcall) t x) y))"
+            " (case (Node l r) (constr Node (call t l) (call t r))))))"
+            " (main 0))")
+        code, out, err = run_main(capsys, "transform", str(src))
+        assert code == 1 and out == ""
+        assert [ln.split()[:2] for ln in err.splitlines()] == [
+            ["ERROR", "TailcallNotSatisfiable"], ["ERROR", "AmbiguousTmc"]]
+
     @pytest.mark.parametrize("name", ["map.tmc", "flatten_nested.tmc",
                                       "tree_map_ambiguous.tmc"])
     def test_static_analysis_runs_once(self, name, capsys, monkeypatch):
@@ -349,6 +379,25 @@ def test_bad_input_spec_is_a_one_line_usage_error(argv, capsys):
     assert code == 1
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("usage error: ")
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("parse", "missing.tmc"),
+     "cannot read 'missing.tmc': No such file or directory"),
+    (("parse", "latin1.tmc"), "cannot read 'latin1.tmc': not UTF-8 text"),
+    (("parse", "ok.tmc", "--out", "nodir/o.tmc"),
+     "cannot write 'nodir/o.tmc': No such file or directory"),
+    (("bench", "ok.tmc", "--entry", "f", "--arg", "int", "--sizes", "1",
+      "--csv", "nodir/o.csv"),
+     "cannot write 'nodir/o.csv': No such file or directory"),
+], ids=["missing", "not_utf8", "out_dir", "csv_dir"])
+def test_io_failure_is_a_one_line_usage_error(argv, message, tmp_path,
+                                              monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "ok.tmc").write_text("(program (letrec (fun f (x) x)) (main 0))")
+    (tmp_path / "latin1.tmc").write_bytes(b"(program (main \xe9))")
+    code, _, err = run_main(capsys, *argv)
+    assert (code, err) == (1, f"usage error: {message}\n")
 
 
 def test_non_ascii_digit_is_a_symbol(tmp_path, capsys):

@@ -1,5 +1,5 @@
-"""Core tree invariants: well-formedness diagnostics and decomposition
-plugging."""
+"""Core tree invariants: well-formedness diagnostics and identifier
+collection."""
 
 import pytest
 from hypothesis import given, strategies as st
@@ -7,8 +7,6 @@ from hypothesis import given, strategies as st
 from tmc_forge.ir import (
     Call,
     Constr,
-    Decomposition,
-    DecompHole,
     FunDef,
     Hole,
     Int,
@@ -17,14 +15,12 @@ from tmc_forge.ir import (
     Match,
     PConstr,
     PVar,
-    PLAIN_TAIL,
     Program,
     Seq,
     SetRef,
     Var,
     all_identifiers,
     pattern_vars,
-    plug,
     well_formed,
 )
 
@@ -98,33 +94,6 @@ class TestWellFormed:
         assert "UnboundCallee" not in codes(prog(body))
         # Var("x") in g's body is unbound but variable use is not
         # diagnosed statically; the runtime rejects it.
-
-
-class TestPlug:
-    def test_plug_rebuilds_expression(self):
-        e = Constr("Cons", [Var("y"), Call("map", [Var("f"), Var("rest")])])
-        d = Decomposition(
-            Constr("Cons", [Var("y"), DecompHole(0)]),
-            [(Call("map", [Var("f"), Var("rest")]), PLAIN_TAIL)],
-            {})
-        assert plug(d) == e
-
-    def test_plug_checks_arity(self):
-        d = Decomposition(DecompHole(0), [], {})
-        with pytest.raises(ValueError):
-            plug(d)
-        d2 = Decomposition(Int(1), [(Int(2), PLAIN_TAIL)], {})
-        with pytest.raises(ValueError):
-            plug(d2)
-
-    def test_plug_through_every_context_shape(self):
-        ctx = Let("a", Int(1),
-                  Seq(Int(2),
-                      Match(Var("a"), [(PVar("b"), DecompHole(0))])))
-        d = Decomposition(ctx, [(Var("b"), PLAIN_TAIL)], {})
-        out = plug(d)
-        assert isinstance(out, Let)
-        assert out.body.second.clauses[0][1] == Var("b")
 
 
 # A small recursive strategy over hole-free expressions.

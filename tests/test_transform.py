@@ -18,6 +18,7 @@ from tmc_forge.ir import (
     Program,
     Seq,
     SetRef,
+    children,
     iter_fundefs,
     well_formed,
 )
@@ -179,22 +180,18 @@ class TestErrorsAndDeterminism:
                      "map_tail.tmc", "map_variants.tmc"):
             assert well_formed(transform_program(load(name))) == [], name
 
-    def test_each_function_is_decomposed_once(self, monkeypatch):
+    def test_local_group_is_rewritten_once_and_shared(self):
         # flatten_nested's local group sits in the context of both versions
-        # of `flatten`; it is still decomposed only once.
-        from tmc_forge import transform
-        seen = []
-
-        def counting(body, *args):
-            seen.append(body)
-            return decompose(body, *args)
-
-        decompose = transform.decompose_tmc
-        monkeypatch.setattr(transform, "decompose_tmc", counting)
-        p = load("flatten_nested.tmc")
-        transform_program(p)
-        assert sorted(map(id, seen)) == sorted(id(f.body)
-                                               for f in iter_fundefs(p))
+        # of `flatten`; both hold the one rewritten group.
+        t = transform_program(load("flatten_nested.tmc"))
+        direct, dps = t.groups[0]
+        groups, stack = [], [direct.body, dps.body]
+        while stack:
+            x = stack.pop()
+            if isinstance(x, Letrec):
+                groups.append(x.group)
+            stack.extend(c for _, c, _, _ in children(x))
+        assert len(groups) == 2 and groups[0] is groups[1]
 
     def test_transform_output_round_trips_through_printer(self):
         t = transform_program(load("flatten_mutual.tmc"))
