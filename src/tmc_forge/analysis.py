@@ -1,10 +1,10 @@
 """TMC candidate analysis.
 
-Finds marked functions and, in one walk (`_visit_all`), resolves which
-call sites are rewrite-eligible (minimal scope at toplevel, maximal inside
-marked functions) and finds the tail-modulo-cons context of every body --
-or reports the ambiguity when two constructor arguments compete for the
-single sub-context.  `ScopeVerdict` holds the results.
+One walk (`_visit_all`) resolves each call to its definition, decides which
+calls to marked definitions may be rewritten (minimal scope at toplevel,
+maximal inside marked functions), finds each body's tail-modulo-cons
+context or its ambiguity, and flags each unsatisfiable (@ tailcall).
+`ScopeVerdict` holds the results, the marked definitions and identifiers.
 """
 
 from __future__ import annotations
@@ -21,54 +21,35 @@ from .ir import (
     Diagnostic,
     Expr,
     FunDef,
+    Let,
     Letrec,
+    Match,
     Path,
+    PConstr,
     Program,
-    all_identifiers,
+    PVar,
+    Var,
     bind,
     children,
     drive,
-    iter_fundefs,
     path_of,
 )
 
 
 @dataclass
 class MarkSet:
-    marked: set[str]
     dps_name: dict[str, str]
     # Every identifier of the program, the builtins and the DPS names: the
     # names a fresh name must avoid.
     used: set[str]
 
 
-def collect_marks(p: Program) -> MarkSet:
-    """Assign a fresh DPS companion name to every marked function."""
-
-    used = all_identifiers(p) | set(BUILTINS)
-    marked: set[str] = set()
-    dps_name: dict[str, str] = {}
-    for f in iter_fundefs(p):
-        if TAIL_MOD_CONS not in f.attrs or f.name in dps_name:
-            continue
-        marked.add(f.name)
-        base = f.name + "_dps"
-        cand = base
-        k = 2
-        while cand in used:
-            cand = f"{base}{k}"
-            k += 1
-        used.add(cand)
-        dps_name[f.name] = cand
-    return MarkSet(marked, dps_name, used)
-
-
 @dataclass
 class ScopeVerdict:
-    """The scope rule's verdict on every call to a marked function by its
-    own name, not shadowed by a binder, and the context of every body: the
-    nodes on the way down to its candidates, the eligible calls in its
-    tail-modulo-cons positions.  All else the rewrite reaches is a hole."""
+    """The scope rule's verdict on every call to a marked definition, not
+    shadowed by a binder, and the context of every body: the nodes on the
+    way down to its candidates, the eligible calls in its tail-modulo-cons
+    positions.  All else the rewrite reaches is a hole."""
 
     # ids of the eligible calls, valid while the program they belong to lives
     calls: set[int] = field(default_factory=set)
@@ -78,8 +59,14 @@ class ScopeVerdict:
     # that holds the rest of the context; None for any other node
     context: dict[int, Optional[int]] = field(default_factory=dict)
     warnings: list[Diagnostic] = field(default_factory=list)
+    # one TailcallNotSatisfiable per (@ tailcall) that cannot hold, in order
+    unsatisfiable: list[Diagnostic] = field(default_factory=list)
     # one AmbiguousTmc per constructor whose arguments compete, in order
     errors: list[Diagnostic] = field(default_factory=list)
+    # the definitions marked (@ tail_mod_cons), in source order
+    marked: list[FunDef] = field(default_factory=list)
+    # every identifier of the program, pattern tags included
+    identifiers: set[str] = field(default_factory=set)
 
     @property
     def eligible_paths(self) -> dict[Path, bool]:
@@ -88,25 +75,71 @@ class ScopeVerdict:
         return {path_of(at): ok for at, ok in self.sites}
 
 
-def _visit_all(p: Program, marks: MarkSet, visit) -> None:
+def collect_marks(verdict: ScopeVerdict) -> MarkSet:
+    """Assign a fresh DPS companion name to every marked function name."""
+
+    used = verdict.identifiers | set(BUILTINS)
+    dps_name: dict[str, str] = {}
+    for f in verdict.marked:
+        if f.name in dps_name:
+            continue
+        cand, k = f.name + "_dps", 2
+        while cand in used:
+            cand, k = f"{f.name}_dps{k}", k + 1
+        used.add(cand)
+        dps_name[f.name] = cand
+    return MarkSet(dps_name, used)
+
+
+def _identifiers(x: Expr) -> list[str]:
+    """The identifiers that x holds itself, apart from its children's."""
+
+    if isinstance(x, Var):
+        return [x.name]
+    if isinstance(x, Call):
+        return [x.callee]
+    if isinstance(x, Constr):
+        return [x.tag]
+    if isinstance(x, Let):
+        return [x.binder]
+    out, stack = [], [pt for pt, _ in x.clauses] if isinstance(x, Match) else []
+    while stack:
+        pt = stack.pop()
+        if isinstance(pt, PVar):
+            out.append(pt.name)
+        elif isinstance(pt, PConstr):
+            out.append(pt.tag)
+            stack.extend(pt.subpatterns)
+    return out
+
+
+def _visit_all(p: Program, visit) -> tuple[list[FunDef], set[str]]:
     """Call visit(x, eligible, marked, tail, under_constr, at, below) for
     every function definition and expression x of p, after visiting what
-    lies inside it.  This walk is the one place that applies the scope
-    rule: `eligible` is None unless x calls a marked function by its own
-    name, not shadowed by a binder, and then says whether the call may be
-    rewritten -- anywhere inside a marked function (`marked`), elsewhere
-    only from within the callee's own group.  `tail` says that x is in a
+    lies inside it; return the marked definitions in source order and every
+    identifier of p.  This walk is the one place that applies the scope
+    rule: `eligible` is None unless x calls a marked definition, not
+    shadowed by a binder, and then says whether the call may be rewritten
+    -- anywhere inside a marked function (`marked`), elsewhere only from
+    within the callee's own group.  `tail` says that x is in a
     tail-modulo-cons position of its function, `under_constr` that a
     constructor argument lies on the way there, and `at` is x's link for
     `path_of`.  `below` lists (i, r) for each i-th child of x in a
     tail-modulo-cons position (a function's body, for a definition) whose
     visit returned r other than None."""
 
-    groups: dict[str, int] = {}  # the names of the enclosing groups, see `bind`
+    # name -> the definition in scope, if any
+    defs = {f.name: f for fs in p.groups for f in fs}
+    enclosing: set[int] = set()  # ids of the enclosing groups' definitions
+    marked_defs: list[FunDef] = []
+    used: set[str] = set()
 
     def walk(e: Expr, marked: bool, scope: dict[str, int], tail: bool,
              under: bool, at: tuple):
+        used.update(_identifiers(e))
         if isinstance(e, Letrec):
+            outer = {f.name: defs.get(f.name) for f in e.group}
+            defs.update((f.name, f) for f in e.group)
             yield group(e.group, marked, at)
         below = []
         for i, (label, c, bound, tmc) in enumerate(children(e)):
@@ -119,25 +152,32 @@ def _visit_all(p: Program, marks: MarkSet, visit) -> None:
                 if r is not None:
                     below.append((i, r))
             bind(scope, bound, -1)
+        if isinstance(e, Letrec):
+            defs.update(outer)
         eligible = None
-        if (isinstance(e, Call) and e.callee in marks.marked
-                and e.callee not in scope):
-            eligible = marked or e.callee in groups
+        if isinstance(e, Call) and e.callee not in scope:
+            callee = defs.get(e.callee)
+            if callee is not None and TAIL_MOD_CONS in callee.attrs:
+                eligible = marked or id(callee) in enclosing
         return visit(e, eligible, marked, tail, under, at, below)
 
     def group(fs: list[FunDef], marked: bool, at: tuple):
-        bind(groups, [f.name for f in fs], 1)
+        enclosing.update(map(id, fs))
         for f in fs:
+            used.update([f.name, *f.params])
+            if TAIL_MOD_CONS in f.attrs:
+                marked_defs.append(f)
             inside = marked or TAIL_MOD_CONS in f.attrs
             r = yield walk(f.body, inside, dict.fromkeys(f.params, 1), True,
                            False, (f.name, at))
             visit(f, None, inside, False, False, (f.name, at),
                   [] if r is None else [(0, r)])
-        bind(groups, [f.name for f in fs], -1)
+        enclosing.difference_update(map(id, fs))
 
     for gi, fs in enumerate(p.groups):
         drive(group(fs, False, (f"group{gi}", ())))
     drive(walk(p.main, False, {}, False, False, ("main", ())))
+    return marked_defs, used
 
 
 class _Found(NamedTuple):
@@ -162,18 +202,27 @@ def _leaves(tree) -> list:
     return out
 
 
-def resolve_scope(p: Program, marks: MarkSet) -> ScopeVerdict:
-    """Decide every call site that targets a marked function and find the
+def resolve_scope(p: Program) -> ScopeVerdict:
+    """Decide every call site that targets a marked definition and find the
     context of every function body, in one walk.  Warn about each marked
     function, nested ones included, that has no strictly-modulo-cons
     candidate, and report each constructor of a context whose arguments
-    hold candidates when annotations do not single one argument out."""
+    hold candidates when annotations do not single one argument out, and
+    each (@ tailcall) that cannot hold."""
 
     verdict = ScopeVerdict()
     useless: dict[int, Diagnostic] = {}
 
     def visit(x, eligible: Optional[bool], marked, tail, under, at: tuple,
               below: list) -> Optional[_Found]:
+        # (@ tailcall) holds in a tail position that is plain or rewritten.
+        if (isinstance(x, Call) and TAILCALL in x.attrs
+                and not (tail and (eligible or not under))):
+            verdict.unsatisfiable.append(Diagnostic(
+                "Error" if eligible or marked else "Warning",
+                "TailcallNotSatisfiable",
+                f"(@ tailcall) on call to '{x.callee}' cannot become a "
+                "tail call here", x.span, path_of(at)))
         if eligible is not None:
             verdict.sites.append((at, eligible))
             if eligible:
@@ -216,35 +265,10 @@ def resolve_scope(p: Program, marks: MarkSet) -> ScopeVerdict:
         return _Found(any(r.annotated for r in found),
                       any(r.strict for r in found), links, errors)
 
-    _visit_all(p, marks, visit)
-    verdict.warnings = [useless[id(f)] for f in iter_fundefs(p)
+    verdict.marked, verdict.identifiers = _visit_all(p, visit)
+    verdict.warnings = [useless[id(f)] for f in verdict.marked
                         if id(f) in useless]
     # A nested function's errors were found before its encloser's.
     verdict.errors.sort(key=lambda d: d.span.byte_start if d.span else 0)
     return verdict
 
-
-def check_tailcall_annotations(p: Program, marks: MarkSet) -> list[Diagnostic]:
-    """Flag (@ tailcall) annotations that cannot land in a rewritten position.
-
-    Silent when the annotated call already sits in a plain tail position;
-    Error when the call is in an eligible region but not rewritable;
-    Warning in not-eligible regions.
-    """
-
-    diags: list[Diagnostic] = []
-
-    def visit(x, eligible: Optional[bool], marked: bool, tail: bool,
-              under_constr: bool, at: tuple, below: list):
-        if isinstance(x, Call) and TAILCALL in x.attrs:
-            # Holds in a plain tail position, or a TMC one that is rewritten.
-            if not (tail and (eligible or not under_constr)):
-                diags.append(Diagnostic(
-                    "Error" if eligible or marked else "Warning",
-                    "TailcallNotSatisfiable",
-                    f"(@ tailcall) on call to '{x.callee}' cannot become "
-                    "a tail call here",
-                    x.span, path_of(at)))
-
-    _visit_all(p, marks, visit)
-    return diags

@@ -11,6 +11,7 @@ import csv as csv_mod
 import os
 import pathlib
 import sys
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 from .gen import BadSpec, Lcg, at_size, gen_value, mix_seed
@@ -214,11 +215,11 @@ def cmd_bench(args) -> int:
         sizes = [int(s) for s in args.sizes.split(",") if s]
     except ValueError:
         raise BadSpec(f"bad --sizes value {args.sizes!r}") from None
-    rows = run_bench(p, args.entry, sizes, args.arg, args.seed,
-                     args.max_stack, args.max_steps)
-    print(_bench_table(rows))
-    if args.csv:
-        with _create(args.csv) as fh:
+    with _create(args.csv) if args.csv else nullcontext() as fh:
+        rows = run_bench(p, args.entry, sizes, args.arg, args.seed,
+                         args.max_stack, args.max_steps)
+        print(_bench_table(rows))
+        if fh:
             w = csv_mod.writer(fh)
             w.writerow(["variant", "size", "max_stack_depth", "allocations",
                         "dest_writes", "steps"])

@@ -3,13 +3,14 @@
 Expressions, patterns, function definitions and programs; `children`,
 the one definition of tail-modulo-cons positions, and the `drive` loop
 that runs every tree walker without host recursion; well-formedness.
-Trees are immutable by convention: passes always rebuild.
+Trees are immutable by convention: passes always rebuild.  Nodes compare
+by identity; a structural `==` would recurse once per level.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Optional
 
 # Attribute names as they appear in source.
 TAIL_MOD_CONS = "tail_mod_cons"
@@ -44,19 +45,19 @@ class Pattern:
     span: Optional[Span]
 
 
-@dataclass
+@dataclass(eq=False)
 class Var(Expr):
     name: str
     span: Optional[Span] = _span_field()
 
 
-@dataclass
+@dataclass(eq=False)
 class Int(Expr):
     n: int
     span: Optional[Span] = _span_field()
 
 
-@dataclass
+@dataclass(eq=False)
 class Call(Expr):
     callee: str
     args: list[Expr]
@@ -64,7 +65,7 @@ class Call(Expr):
     span: Optional[Span] = _span_field()
 
 
-@dataclass
+@dataclass(eq=False)
 class Let(Expr):
     binder: str
     bound: Expr
@@ -72,28 +73,28 @@ class Let(Expr):
     span: Optional[Span] = _span_field()
 
 
-@dataclass
+@dataclass(eq=False)
 class Seq(Expr):
     first: Expr
     second: Expr
     span: Optional[Span] = _span_field()
 
 
-@dataclass
+@dataclass(eq=False)
 class Constr(Expr):
     tag: str
     args: list[Expr]
     span: Optional[Span] = _span_field()
 
 
-@dataclass
+@dataclass(eq=False)
 class Match(Expr):
     scrutinee: Expr
     clauses: list[tuple[Pattern, Expr]]
     span: Optional[Span] = _span_field()
 
 
-@dataclass
+@dataclass(eq=False)
 class SetRef(Expr):
     dest: Expr
     index: Expr
@@ -101,12 +102,12 @@ class SetRef(Expr):
     span: Optional[Span] = _span_field()
 
 
-@dataclass
+@dataclass(eq=False)
 class Hole(Expr):
     span: Optional[Span] = _span_field()
 
 
-@dataclass
+@dataclass(eq=False)
 class Letrec(Expr):
     """Local group of mutually recursive functions scoping over `body`.
 
@@ -119,31 +120,31 @@ class Letrec(Expr):
     span: Optional[Span] = _span_field()
 
 
-@dataclass
+@dataclass(eq=False)
 class PVar(Pattern):
     name: str
     span: Optional[Span] = _span_field()
 
 
-@dataclass
+@dataclass(eq=False)
 class PWild(Pattern):
     span: Optional[Span] = _span_field()
 
 
-@dataclass
+@dataclass(eq=False)
 class PConstr(Pattern):
     tag: str
     subpatterns: list[Pattern]
     span: Optional[Span] = _span_field()
 
 
-@dataclass
+@dataclass(eq=False)
 class PInt(Pattern):
     n: int
     span: Optional[Span] = _span_field()
 
 
-@dataclass
+@dataclass(eq=False)
 class FunDef:
     name: str
     params: list[str]
@@ -152,7 +153,7 @@ class FunDef:
     span: Optional[Span] = _span_field()
 
 
-@dataclass
+@dataclass(eq=False)
 class Program:
     groups: list[list[FunDef]]
     main: Expr
@@ -387,40 +388,3 @@ def iter_fundefs(p: Program) -> list[FunDef]:
             stack.extend(reversed(x.group))
     return out
 
-
-def all_identifiers(e: Union[Expr, Program]) -> set[str]:
-    """Every identifier occurring anywhere (used to seed fresh-name pools)."""
-
-    out: set[str] = set()
-    stack: list = [e]
-    while stack:
-        x = stack.pop()
-        t = x.__class__
-        if t is Var or t is PVar:
-            out.add(x.name)
-            continue
-        if t is PConstr:
-            out.add(x.tag)
-            stack.extend(x.subpatterns)
-            continue
-        if t is FunDef:
-            out.add(x.name)
-            out.update(x.params)
-            stack.append(x.body)
-            continue
-        if t is Program:
-            stack.append(x.main)
-            stack.extend([f for g in x.groups for f in g])
-            continue
-        if t is Call:
-            out.add(x.callee)
-        elif t is Constr:
-            out.add(x.tag)
-        elif t is Let:
-            out.add(x.binder)
-        elif t is Match:
-            stack.extend([pt for pt, _ in x.clauses])
-        elif t is Letrec:
-            stack.extend(x.group)
-        stack.extend([c for _, c, _, _ in children(x)])
-    return out

@@ -1,3 +1,4 @@
+import dataclasses
 import pathlib
 
 import pytest
@@ -13,6 +14,28 @@ GOLDENS = pathlib.Path(__file__).resolve().parent / "goldens"
 def load(name: str):
     """Parse a corpus program by file name."""
     return parse_program((CORPUS / name).read_text())
+
+
+def same_tree(a, b) -> bool:
+    """Whether a and b are the same IR tree (or lists, tuples or values of
+    them), spans aside.  IR nodes compare by identity; this compares their
+    fields on an explicit stack, so depth costs no host recursion."""
+
+    stack = [(a, b)]
+    while stack:
+        x, y = stack.pop()
+        if type(x) is not type(y):
+            return False
+        if isinstance(x, (list, tuple)):
+            if len(x) != len(y):
+                return False
+            stack.extend(zip(x, y))
+        elif dataclasses.is_dataclass(x):
+            stack.extend((getattr(x, f.name), getattr(y, f.name))
+                         for f in dataclasses.fields(x) if f.compare)
+        elif x != y:
+            return False
+    return True
 
 
 def marked_chain(depth: int) -> str:

@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from tmc_forge.analysis import collect_marks
+from tmc_forge.analysis import collect_marks, resolve_scope
 from tmc_forge.cli import run_diff
 from tmc_forge.gen import Lcg, gen_cmm_then_chain, gen_cmmlike, gen_value
 from tmc_forge.ir import Call, Let, Letrec, Match, Seq, iter_fundefs
@@ -109,7 +109,7 @@ def test_5_ambiguity_error_and_annotated_tail_call():
     assert len(diag.candidate_paths) == 2
 
     t = transform_program(load("tree_map_annotated.tmc"))
-    marks = collect_marks(load("tree_map_annotated.tmc"))
+    marks = collect_marks(resolve_scope(load("tree_map_annotated.tmc")))
     dps = {f.name: f for f in iter_fundefs(t)}[marks.dps_name["tree_map"]]
 
     def tail_leaves(e):

@@ -1,11 +1,7 @@
 """Scope, the tail-modulo-cons context of each body, and annotation
 checks."""
 
-from tmc_forge.analysis import (
-    check_tailcall_annotations,
-    collect_marks,
-    resolve_scope,
-)
+from tmc_forge.analysis import collect_marks, resolve_scope
 from tmc_forge.ir import Constr, children
 from tmc_forge.surface import parse_program
 
@@ -14,7 +10,7 @@ from conftest import load
 
 def verdict_and_function(p, fname):
     """p's scope verdict, and toplevel function fname."""
-    verdict = resolve_scope(p, collect_marks(p))
+    verdict = resolve_scope(p)
     for group in p.groups:
         for f in group:
             if f.name == fname:
@@ -48,10 +44,9 @@ def chosen(verdict):
 
 class TestCollectMarks:
     def test_fresh_dps_names(self):
-        p = load("map.tmc")
-        marks = collect_marks(p)
-        assert marks.marked == {"map"}
-        assert marks.dps_name == {"map": "map_dps"}
+        verdict = resolve_scope(load("map.tmc"))
+        assert [f.name for f in verdict.marked] == ["map"]
+        assert collect_marks(verdict).dps_name == {"map": "map_dps"}
 
     def test_dps_name_avoids_collision(self):
         p = parse_program(
@@ -60,12 +55,14 @@ class TestCollectMarks:
             " (letrec (fun (@ tail_mod_cons) map (f xs)"
             "   (constr Cons 1 (call map f xs))))"
             " (main 0))")
-        marks = collect_marks(p)
+        marks = collect_marks(resolve_scope(p))
         assert marks.dps_name["map"] not in {"map", "map_dps"}
 
     def test_unmarked_program_has_no_marks(self):
         p = parse_program("(program (letrec (fun f (x) x)) (main 0))")
-        assert collect_marks(p).marked == set()
+        verdict = resolve_scope(p)
+        assert verdict.marked == []
+        assert collect_marks(verdict).dps_name == {}
 
 
 class TestCandidates:
@@ -81,7 +78,7 @@ class TestCandidates:
             " (main 0))")
         # `f` is rebound as a value; the inner call goes through the
         # binder and must not be treated as a TMC candidate.
-        assert resolve_scope(p, collect_marks(p)).context == {}
+        assert resolve_scope(p).context == {}
 
     def test_candidate_outside_marked_scope_needs_group(self):
         # main's call to the marked map is not eligible, and map's own
@@ -104,7 +101,7 @@ class TestDecompose:
 
     def test_ambiguous_two_candidate_paths(self):
         p = load("tree_map_ambiguous.tmc")
-        verdict = resolve_scope(p, collect_marks(p))
+        verdict = resolve_scope(p)
         [diag] = verdict.errors
         assert diag.code == "AmbiguousTmc"
         assert diag.path == ("group0", "tree_map", "clause1")
@@ -138,11 +135,10 @@ class TestDecompose:
         for name in ("map.tmc", "filter.tmc", "merge.tmc", "umap.tmc",
                      "map_tail.tmc", "flatten_mutual.tmc"):
             p = load(name)
-            marks = collect_marks(p)
-            verdict = resolve_scope(p, marks)
+            verdict = resolve_scope(p)
             for group in p.groups:
                 for f in group:
-                    if f.name not in marks.marked:
+                    if f not in verdict.marked:
                         continue
                     nodes, holes = decomposition(verdict, f.body)
                     candidates = [h for h, _ in holes
@@ -159,19 +155,19 @@ class TestDecompose:
 class TestScope:
     def test_toplevel_main_call_not_eligible(self):
         p = load("map_toplevel_call.tmc")
-        verdict = resolve_scope(p, collect_marks(p))
+        verdict = resolve_scope(p)
         assert verdict.eligible_paths[("main",)] is False
 
     def test_recursive_call_in_own_group_eligible(self):
         p = load("map.tmc")
-        verdict = resolve_scope(p, collect_marks(p))
+        verdict = resolve_scope(p)
         paths = {pt: ok for pt, ok in verdict.eligible_paths.items()}
         inside = [ok for pt, ok in paths.items() if pt[:2] == ("group0", "map")]
         assert inside == [True]
 
     def test_nested_local_call_inside_marked_function_eligible(self):
         p = load("flatten_nested.tmc")
-        verdict = resolve_scope(p, collect_marks(p))
+        verdict = resolve_scope(p)
         # Every call site inside marked `flatten` (including the local
         # append_flatten group) is eligible.
         inside = {pt: ok for pt, ok in verdict.eligible_paths.items()
@@ -180,7 +176,7 @@ class TestScope:
 
     def test_mutual_toplevel_cross_calls_eligible(self):
         p = load("flatten_mutual.tmc")
-        verdict = resolve_scope(p, collect_marks(p))
+        verdict = resolve_scope(p)
         assert verdict.eligible_paths
         assert all(verdict.eligible_paths.values())
 
@@ -191,7 +187,7 @@ class TestScope:
             "   (constr Cons 1 (call f xs))))"
             " (letrec (fun g (xs) (call f xs)))"
             " (main 0))")
-        verdict = resolve_scope(p, collect_marks(p))
+        verdict = resolve_scope(p)
         g_sites = [ok for pt, ok in verdict.eligible_paths.items()
                    if pt[:2] == ("group1", "g")]
         assert g_sites == [False]
@@ -200,22 +196,22 @@ class TestScope:
         p = parse_program(
             "(program (letrec (fun (@ tail_mod_cons) f (xs) (call f xs)))"
             " (main 0))")
-        verdict = resolve_scope(p, collect_marks(p))
+        verdict = resolve_scope(p)
         assert [w.code for w in verdict.warnings] == ["UselessMark"]
 
     def test_no_warning_with_strict_candidate(self):
         p = load("map.tmc")
-        assert resolve_scope(p, collect_marks(p)).warnings == []
+        assert resolve_scope(p).warnings == []
 
 
 class TestTailcallAnnotations:
     def check(self, text):
         p = parse_program(text)
-        return check_tailcall_annotations(p, collect_marks(p))
+        return resolve_scope(p).unsatisfiable
 
     def test_satisfied_annotation_is_silent(self):
         p = load("tree_map_annotated.tmc")
-        assert check_tailcall_annotations(p, collect_marks(p)) == []
+        assert resolve_scope(p).unsatisfiable == []
 
     def test_plain_tail_call_accepted_silently(self):
         diags = self.check(

@@ -125,6 +125,52 @@ class TestTransform:
             ["WARNING", "UselessMark", f"{src}:1:37"],
             ["WARNING", "UselessMark", f"{src}:2:9"]]
 
+    # A list copy, marked or not; `{mark}` is empty or the attribute.
+    COPY = ("(fun {mark}{name} (ys) (match ys (case Nil (constr Nil))"
+            " (case (Cons y r) (constr Cons y (call {name} r)))))")
+
+    def clash(self, tmp_path):
+        """An unmarked toplevel `g`, and a marked `g` local to `b`."""
+        src = tmp_path / "clash.tmc"
+        src.write_text(
+            f"(program (letrec {self.COPY.format(mark='', name='g')})\n"
+            " (letrec (fun b (xs) (letrec "
+            f"{self.COPY.format(mark='(@ tail_mod_cons) ', name='g')}"
+            " (call g xs))))\n (main (int 0)))")
+        return str(src)
+
+    def test_marks_belong_to_definitions(self, tmp_path, capsys):
+        code, out, err = run_main(capsys, "transform", self.clash(tmp_path))
+        assert (code, err) == (0, "")
+        assert out.count("(fun g_dps ") == 1
+        assert out.index("(fun b ") < out.index("(fun g_dps ")
+
+    def test_unmarked_namesake_keeps_its_stack(self, tmp_path, capsys):
+        src = self.clash(tmp_path)
+        for extra in ((), ("--transform",)):
+            code, out, _ = run_main(capsys, "run", src, "--entry", "g",
+                                    "--arg", "list:5000", "--metrics", *extra)
+            assert code == 0
+            assert "max_stack_depth=5001" in out.splitlines(), extra
+
+    def test_call_to_an_unmarked_namesake_is_no_candidate(self, tmp_path,
+                                                          capsys, monkeypatch):
+        # `a`'s only call goes to its unmarked local `g`, not to the marked
+        # toplevel `g`.
+        monkeypatch.setenv("TMC_FORGE_COLOR", "0")
+        src = tmp_path / "namesake.tmc"
+        src.write_text(
+            "(program (letrec (fun (@ tail_mod_cons) a (xs) (letrec "
+            f"{self.COPY.format(mark='', name='g')} (match xs"
+            " (case Nil (constr Nil))"
+            " (case (Cons x rest) (constr Cons x (call g rest)))))))\n"
+            f" (letrec {self.COPY.format(mark='(@ tail_mod_cons) ', name='g')})"
+            " (main (int 0)))")
+        code, _, err = run_main(capsys, "transform", str(src))
+        assert code == 0
+        assert [ln.split()[:4] for ln in err.splitlines()] == [
+            ["WARNING", "UselessMark", f"{src}:1:17", "'a'"]]
+
     def test_every_ambiguous_constructor_is_reported(self, tmp_path,
                                                      capsys, monkeypatch):
         # Both Node constructors have two arguments with candidates.
@@ -159,15 +205,13 @@ class TestTransform:
                                       "tree_map_ambiguous.tmc"])
     def test_static_analysis_runs_once(self, name, capsys, monkeypatch):
         calls = []
-        for attr in ("well_formed", "collect_marks", "resolve_scope",
-                     "check_tailcall_annotations"):
+        for attr in ("well_formed", "resolve_scope", "collect_marks"):
             def counted(*a, _attr=attr, _orig=getattr(transform, attr)):
                 calls.append(_attr)
                 return _orig(*a)
             monkeypatch.setattr(transform, attr, counted)
         run_main(capsys, "transform", corpus(name))
-        assert sorted(calls) == ["check_tailcall_annotations", "collect_marks",
-                                 "resolve_scope", "well_formed"]
+        assert calls == ["well_formed", "resolve_scope", "collect_marks"]
 
 
 class TestRun:
@@ -396,8 +440,8 @@ def test_io_failure_is_a_one_line_usage_error(argv, message, tmp_path,
     monkeypatch.chdir(tmp_path)
     (tmp_path / "ok.tmc").write_text("(program (letrec (fun f (x) x)) (main 0))")
     (tmp_path / "latin1.tmc").write_bytes(b"(program (main \xe9))")
-    code, _, err = run_main(capsys, *argv)
-    assert (code, err) == (1, f"usage error: {message}\n")
+    code, out, err = run_main(capsys, *argv)
+    assert (code, out, err) == (1, "", f"usage error: {message}\n")
 
 
 def test_non_ascii_digit_is_a_symbol(tmp_path, capsys):
@@ -501,7 +545,7 @@ class TestExitPaths:
         code, out, err = run_main(capsys, "transform", str(src))
         assert code == 0 and err == ""
         assert "(fun f_dps " in out
-        # Compared as text: dataclass equality this deep would recurse.
+        # The output is canonical: parsing and printing it gives it back.
         text = out.rstrip("\n")
         assert print_program(parse_program(text)) == text
 
@@ -515,7 +559,7 @@ class TestExitPaths:
         text = dest.read_text()
         assert text.endswith(")\n")
         text = text[:-1]
-        # Compared as text: dataclass equality this deep would recurse.
+        # The output is canonical: parsing and printing it gives it back.
         assert print_program(parse_program(text)) == text
         if command == "transform":
             assert "(fun f_dps " in text

@@ -1,9 +1,10 @@
-"""Core tree invariants: well-formedness diagnostics and identifier
-collection."""
+"""Core tree invariants: well-formedness diagnostics, identifier
+collection and equality."""
 
 import pytest
 from hypothesis import given, strategies as st
 
+from tmc_forge.analysis import resolve_scope
 from tmc_forge.ir import (
     Call,
     Constr,
@@ -19,12 +20,12 @@ from tmc_forge.ir import (
     Seq,
     SetRef,
     Var,
-    all_identifiers,
     pattern_vars,
     well_formed,
 )
+from tmc_forge.surface import parse_program
 
-from conftest import load
+from conftest import load, marked_chain, same_tree
 
 
 def prog(body, params=("x",), name="f"):
@@ -109,19 +110,40 @@ _expr = st.deferred(lambda: st.one_of(
 
 class TestIdentifiers:
     @given(_expr)
-    def test_all_identifiers_covers_every_var(self, e):
-        ids = all_identifiers(e)
-        stack = [e]
+    def test_scope_verdict_identifiers_are_every_name(self, e):
+        ids = resolve_scope(Program([], e)).identifiers
+        names, stack = set(), [e]
         while stack:
             n = stack.pop()
             if isinstance(n, Var):
-                assert n.name in ids
+                names.add(n.name)
+            if isinstance(n, Let):
+                names.add(n.binder)
             for attr in ("first", "second", "bound", "body"):
                 if hasattr(n, attr):
                     stack.append(getattr(n, attr))
             if isinstance(n, Constr):
+                names.add(n.tag)
                 stack.extend(n.args)
+        assert ids == names
+
+    def test_scope_verdict_identifiers_include_patterns_and_definitions(self):
+        p = parse_program("(program (letrec (fun f (x) (match x (case (Only "
+                          "(Pair y _)) y) (case 0 (int 1))))) (main (int 0)))")
+        assert resolve_scope(p).identifiers == {"f", "x", "Only", "Pair", "y"}
 
     def test_pattern_vars_in_order(self):
         pat = PConstr("Node", [PVar("l"), PConstr("Leaf", [PVar("v")])])
         assert pattern_vars(pat) == ["l", "v"]
+
+
+class TestEquality:
+    def test_deep_trees_compare_without_recursion(self):
+        text = marked_chain(2000)
+        a, b = parse_program(text), parse_program(text)
+        assert a != b  # nodes compare by identity
+        assert same_tree(a, b)
+        # One constant, 1997 layers down, differs.
+        changed = text.replace("(case 1997 ", "(case 7 ")
+        assert changed != text
+        assert not same_tree(a, parse_program(changed))

@@ -3,26 +3,30 @@
 Each example has a toplevel letrec group of one or two marked functions
 over list or tree data, sometimes with an unmarked function in the same
 group.  Their recursive case nests let, seq, match, constructors and local
-letrec groups (marked or not) around calls, some of them annotated
+letrec groups (marked or not, their function sometimes named like the
+unmarked one, which it shadows) around calls, some of them annotated
 (@ tailcall).  Some examples add a second toplevel group whose unmarked
 function calls the marked ones from a constructor argument, where the
 scope rule does not let the rewrite touch them, and a main that calls a
 marked function.  The transform must either reject the program with a
 TransformError or keep the value, the allocation count and the effect
 multiset of `f` and of main; it may not write more destinations than it
-allocates, and its output must be well-formed and round-trip through the
-printer.
+allocates, and its output must be well-formed, hold one DPS version per
+marked definition and round-trip through the printer.
 """
 
 from collections import Counter
 
 from hypothesis import given, settings, strategies as st
 
-from tmc_forge.ir import Int, Program, well_formed
+from tmc_forge.ir import (
+    TAIL_MOD_CONS, Int, Program, iter_fundefs, well_formed)
 from tmc_forge.gen import list_value
 from tmc_forge.runtime import Block, Interp, eval_program
 from tmc_forge.surface import parse_program, print_program
 from tmc_forge.transform import TransformError, transform_program
+
+from conftest import same_tree
 
 # Per data shape: the base-case pattern, the recursive-case pattern, the
 # variables it binds to smaller values, and a small value for main.
@@ -90,7 +94,8 @@ def programs(draw):
             args = left + [tail(depth - 1, ints, subs, callees, nest)] + right
             return f"(constr K{len(left)}_{len(args)} {' '.join(args)})"
         if kind == "letrec":
-            n = f"n{next(counter)}"
+            # Sometimes named like the group's unmarked h, which it shadows.
+            n = "h" if draw(st.booleans()) else f"n{next(counter)}"
             local = function(n, draw(st.booleans()), callees + [n], False)
             return (f"(letrec {local} "
                     f"{tail(depth - 1, ints, subs, callees + [n], nest)})")
@@ -144,7 +149,12 @@ def test_transform_keeps_value_allocations_and_effects(case, lst, tree):
     except TransformError:
         return
     assert well_formed(t) == [], text
-    assert parse_program(print_program(t)) == t, text
+    # One DPS version per marked definition; a nested group is shared by
+    # both versions of its encloser, so definitions count once each.
+    marked = [f.name for f in iter_fundefs(p) if TAIL_MOD_CONS in f.attrs]
+    dps = {id(f): f.name for f in iter_fundefs(t) if f.name.endswith("_dps")}
+    assert sorted(dps.values()) == sorted(n + "_dps" for n in marked), text
+    assert same_tree(parse_program(print_program(t)), t), text
     arg = lst if shape == "list" else tree
     before = render(arg)
     for entry, args in (("f", [arg]), ("main", [])):

@@ -20,7 +20,7 @@ from tmc_forge.ir import (
 )
 from tmc_forge.surface import ParseError, parse_program, print_program
 
-from conftest import CORPUS
+from conftest import CORPUS, same_tree
 
 
 ALL_CORPUS = sorted(CORPUS.glob("*.tmc"))
@@ -29,7 +29,7 @@ ALL_CORPUS = sorted(CORPUS.glob("*.tmc"))
 @pytest.mark.parametrize("path", ALL_CORPUS, ids=lambda p: p.name)
 def test_print_parse_round_trip(path: pathlib.Path):
     p = parse_program(path.read_text())
-    assert parse_program(print_program(p)) == p
+    assert same_tree(parse_program(print_program(p)), p)
 
 
 @pytest.mark.parametrize("path", ALL_CORPUS, ids=lambda p: p.name)
@@ -44,20 +44,20 @@ class TestSugar:
             "(program (letrec (fun f (x) (if x 1 2))) (main (int 0)))")
         body = p.groups[0][0].body
         assert isinstance(body, Match)
-        assert [c[0] for c in body.clauses] == [PConstr("True", []),
-                                               PConstr("False", [])]
+        assert same_tree([c[0] for c in body.clauses],
+                         [PConstr("True", []), PConstr("False", [])])
 
     def test_tuple_desugars_to_constructor(self):
         p = parse_program("(program (main (tuple 1 2)))")
-        assert p.main == Constr("Tuple", [Int(1), Int(2)])
+        assert same_tree(p.main, Constr("Tuple", [Int(1), Int(2)]))
 
     def test_bare_int_and_symbol(self):
         p = parse_program("(program (main (seq 7 x)))")
-        assert p.main == Seq(Int(7), Var("x"))
+        assert same_tree(p.main, Seq(Int(7), Var("x")))
 
     def test_negative_int(self):
         p = parse_program("(program (main -3))")
-        assert p.main == Int(-3)
+        assert same_tree(p.main, Int(-3))
 
     @pytest.mark.parametrize("tok", ["\u00b2", "\u0663", "--5", "-", "+5",
                                      "5_0", "5-"])
@@ -66,21 +66,21 @@ class TestSugar:
         # expression and in pattern position alike.
         p = parse_program(f"(program (letrec (fun f (x) (match x"
                           f" (case {tok} {tok})))) (main {tok}))")
-        assert p.main == Var(tok)
-        assert p.groups[0][0].body.clauses == [(PVar(tok), Var(tok))]
+        assert same_tree(p.main, Var(tok))
+        assert same_tree(p.groups[0][0].body.clauses, [(PVar(tok), Var(tok))])
         with pytest.raises(ParseError, match="expected integer literal"):
             parse_program(f"(program (main (int {tok})))")
 
     def test_comments_ignored(self):
         p = parse_program("; leading\n(program ; inline\n (main 1))")
-        assert p.main == Int(1)
+        assert same_tree(p.main, Int(1))
 
     def test_capitalized_atom_pattern_is_nullary_constructor(self):
         p = parse_program(
             "(program (letrec (fun f (x)"
             " (match x (case Nil 0) (case y 1)))) (main 0))")
         clauses = p.groups[0][0].body.clauses
-        assert clauses[0][0] == PConstr("Nil", [])
+        assert same_tree(clauses[0][0], PConstr("Nil", []))
         assert clauses[1][0].name == "y"
 
     def test_attrs(self):
@@ -165,4 +165,4 @@ _expr = st.deferred(lambda: st.one_of(
 @given(_expr)
 def test_round_trip_random_expressions(e):
     p = Program([[FunDef("f", ["x", "y", "acc"], e)]], Int(0))
-    assert parse_program(print_program(p)) == p
+    assert same_tree(parse_program(print_program(p)), p)

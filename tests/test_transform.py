@@ -3,10 +3,11 @@ tail-position discipline, determinism."""
 
 import sys
 import threading
+from collections import Counter
 
 import pytest
 
-from tmc_forge.analysis import collect_marks
+from tmc_forge.analysis import collect_marks, resolve_scope
 from tmc_forge.gen import list_value
 from tmc_forge.ir import (
     Call,
@@ -30,7 +31,7 @@ from tmc_forge.transform import (
     transform_program,
 )
 
-from conftest import load, marked_chain, nested_chain
+from conftest import load, marked_chain, nested_chain, same_tree
 
 
 def fundefs(p: Program):
@@ -90,7 +91,7 @@ class TestDpsTailDiscipline:
     ])
     def test_every_dps_tail_leaf_completes_the_destination(self, name):
         p = load(name)
-        marks = collect_marks(p)
+        marks = collect_marks(resolve_scope(p))
         dps_names = set(marks.dps_name.values())
         t = transform_program(p)
         for f in iter_fundefs(t):
@@ -115,7 +116,7 @@ class TestCompression:
     def count_writes_per_step(self, compress):
         t = transform_program(load("umap.tmc"), compress=compress)
         dps = fundefs(t)[
-            collect_marks(load("umap.tmc")).dps_name["umap"]]
+            collect_marks(resolve_scope(load("umap.tmc"))).dps_name["umap"]]
         # Number of setref nodes along the two-element clause.
         two_elem = dps.body.clauses[2][1]
         n = [0]
@@ -151,10 +152,10 @@ class TestCompression:
         # original left-to-right evaluation order survives compression.
         from tmc_forge.ir import Var
         assert isinstance(body, Let)
-        assert body.bound == Call("f", [Var("x1")])
+        assert same_tree(body.bound, Call("f", [Var("x1")]))
         inner = body.body
         assert isinstance(inner, Let)
-        assert inner.bound == Call("f", [Var("x2")])
+        assert same_tree(inner.bound, Call("f", [Var("x2")]))
 
 
 class TestErrorsAndDeterminism:
@@ -168,7 +169,7 @@ class TestErrorsAndDeterminism:
         p = parse_program(
             "(program (letrec (fun f (x) (constr Cons x (call f x))))"
             " (main (int 0)))")
-        assert transform_program(p) == p
+        assert same_tree(transform_program(p), p)
 
     def test_transform_is_deterministic(self):
         a = print_program(transform_program(load("merge.tmc")))
@@ -195,7 +196,7 @@ class TestErrorsAndDeterminism:
 
     def test_transform_output_round_trips_through_printer(self):
         t = transform_program(load("flatten_mutual.tmc"))
-        assert parse_program(print_program(t)) == t
+        assert same_tree(parse_program(print_program(t)), t)
 
     def test_deep_let_seq_match_chain_under_default_recursion_limit(self):
         # A marked map whose Cons case is 300 nested let/seq/match layers
@@ -205,30 +206,32 @@ class TestErrorsAndDeterminism:
         t = transform_program(parse_program(src))
         assert set(fundefs(t)) == {"f", "f_dps"}
         assert well_formed(t) == []
-        # Compared as text: dataclass equality of trees this deep would
-        # itself exceed the recursion limit.
+        # Round-trips through the printer, as a tree and as text.
         text = print_program(t)
+        assert same_tree(parse_program(text), t)
         assert print_program(parse_program(text)) == text
 
 
-    def test_identifiers_are_collected_once(self, monkeypatch):
-        # Fresh names avoid the program's identifier set, which
-        # collect_marks builds once, not a set per function: a function's
-        # body holds every function nested in it.
-        from tmc_forge import analysis, transform
-        seen = []
+    def test_each_node_is_expanded_twice_before_the_rewrite(self,
+                                                             monkeypatch):
+        # well_formed and resolve_scope's walk are the only passes over the
+        # source before the rewrite; the rewrite's own expansions go
+        # through transform.children, which is not counted.
+        from tmc_forge import analysis, ir
+        counts = Counter()
 
         def counting(e):
-            seen.append(e)
-            return collect(e)
+            counts[id(e)] += 1
+            return expand(e)
 
-        collect = analysis.all_identifiers
-        monkeypatch.setattr(analysis, "all_identifiers", counting)
-        assert not hasattr(transform, "all_identifiers")
-        for p in (load("flatten_nested.tmc"), parse_program(nested_chain(20))):
-            seen.clear()
+        expand = ir.children
+        monkeypatch.setattr(ir, "children", counting)
+        monkeypatch.setattr(analysis, "children", counting)
+        for p in (load("flatten_nested.tmc"), parse_program(nested_chain(20)),
+                  parse_program(marked_chain(30))):
+            counts.clear()
             transform_program(p)
-            assert list(map(id, seen)) == [id(p)]
+            assert set(counts.values()) == {2}
 
     def test_nested_letrec_chain_3000_deep_round_trips(self):
         assert threading.current_thread() is threading.main_thread()
@@ -236,7 +239,7 @@ class TestErrorsAndDeterminism:
         p = parse_program(nested_chain(3000))
         t = transform_program(p)
         assert set(fundefs(t)) == {f"g{k}" for k in range(3001)} | {"g3000_dps"}
-        # Compared as text: dataclass equality this deep would recurse.
+        # Round-trips through the printer.
         text = print_program(t)
         assert print_program(parse_program(text)) == text
         arg = list_value([1, 2, 3])
