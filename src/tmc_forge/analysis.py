@@ -1,10 +1,11 @@
 """TMC candidate analysis.
 
-One walk (`_visit_all`) resolves each call to its definition, decides which
-calls to marked definitions may be rewritten (minimal scope at toplevel,
-maximal inside marked functions), finds each body's tail-modulo-cons
-context or its ambiguity, and flags each unsatisfiable (@ tailcall).
-`ScopeVerdict` holds the results, the marked definitions and identifiers.
+One walk (`resolve_scope`) records every definition, resolves each call to
+its definition, decides which calls to marked definitions may be rewritten
+(minimal scope at toplevel, maximal inside marked functions), builds each
+body's tail-modulo-cons context from its children's candidates or finds its
+ambiguity, and flags each unsatisfiable (@ tailcall).  `ScopeVerdict` holds
+the results, the definitions and the identifiers.
 """
 
 from __future__ import annotations
@@ -63,10 +64,15 @@ class ScopeVerdict:
     unsatisfiable: list[Diagnostic] = field(default_factory=list)
     # one AmbiguousTmc per constructor whose arguments compete, in order
     errors: list[Diagnostic] = field(default_factory=list)
-    # the definitions marked (@ tail_mod_cons), in source order
-    marked: list[FunDef] = field(default_factory=list)
+    # every function definition, nested ones included, in source order
+    definitions: list[FunDef] = field(default_factory=list)
     # every identifier of the program, pattern tags included
     identifiers: set[str] = field(default_factory=set)
+
+    @property
+    def marked(self) -> list[FunDef]:
+        """The definitions marked (@ tail_mod_cons), in source order."""
+        return [f for f in self.definitions if TAIL_MOD_CONS in f.attrs]
 
     @property
     def eligible_paths(self) -> dict[Path, bool]:
@@ -113,73 +119,6 @@ def _identifiers(x: Expr) -> list[str]:
     return out
 
 
-def _visit_all(p: Program, visit) -> tuple[list[FunDef], set[str]]:
-    """Call visit(x, eligible, marked, tail, under_constr, at, below) for
-    every function definition and expression x of p, after visiting what
-    lies inside it; return the marked definitions in source order and every
-    identifier of p.  This walk is the one place that applies the scope
-    rule: `eligible` is None unless x calls a marked definition, not
-    shadowed by a binder, and then says whether the call may be rewritten
-    -- anywhere inside a marked function (`marked`), elsewhere only from
-    within the callee's own group.  `tail` says that x is in a
-    tail-modulo-cons position of its function, `under_constr` that a
-    constructor argument lies on the way there, and `at` is x's link for
-    `path_of`.  `below` lists (i, r) for each i-th child of x in a
-    tail-modulo-cons position (a function's body, for a definition) whose
-    visit returned r other than None."""
-
-    # name -> the definition in scope, if any
-    defs = {f.name: f for fs in p.groups for f in fs}
-    enclosing: set[int] = set()  # ids of the enclosing groups' definitions
-    marked_defs: list[FunDef] = []
-    used: set[str] = set()
-
-    def walk(e: Expr, marked: bool, scope: dict[str, int], tail: bool,
-             under: bool, at: tuple):
-        used.update(_identifiers(e))
-        if isinstance(e, Letrec):
-            outer = {f.name: defs.get(f.name) for f in e.group}
-            defs.update((f.name, f) for f in e.group)
-            yield group(e.group, marked, at)
-        below = []
-        for i, (label, c, bound, tmc) in enumerate(children(e)):
-            bind(scope, bound, 1)
-            if tmc is None:
-                yield walk(c, marked, scope, False, False, (label, at))
-            else:
-                r = yield walk(c, marked, scope, tail, under or tmc,
-                               (label, at))
-                if r is not None:
-                    below.append((i, r))
-            bind(scope, bound, -1)
-        if isinstance(e, Letrec):
-            defs.update(outer)
-        eligible = None
-        if isinstance(e, Call) and e.callee not in scope:
-            callee = defs.get(e.callee)
-            if callee is not None and TAIL_MOD_CONS in callee.attrs:
-                eligible = marked or id(callee) in enclosing
-        return visit(e, eligible, marked, tail, under, at, below)
-
-    def group(fs: list[FunDef], marked: bool, at: tuple):
-        enclosing.update(map(id, fs))
-        for f in fs:
-            used.update([f.name, *f.params])
-            if TAIL_MOD_CONS in f.attrs:
-                marked_defs.append(f)
-            inside = marked or TAIL_MOD_CONS in f.attrs
-            r = yield walk(f.body, inside, dict.fromkeys(f.params, 1), True,
-                           False, (f.name, at))
-            visit(f, None, inside, False, False, (f.name, at),
-                  [] if r is None else [(0, r)])
-        enclosing.difference_update(map(id, fs))
-
-    for gi, fs in enumerate(p.groups):
-        drive(group(fs, False, (f"group{gi}", ())))
-    drive(walk(p.main, False, {}, False, False, ("main", ())))
-    return marked_defs, used
-
-
 class _Found(NamedTuple):
     """The candidates below a node of a body, the node included."""
 
@@ -212,63 +151,101 @@ def resolve_scope(p: Program) -> ScopeVerdict:
 
     verdict = ScopeVerdict()
     useless: dict[int, Diagnostic] = {}
+    # name -> the definition in scope, if any
+    defs = {f.name: f for fs in p.groups for f in fs}
+    enclosing: set[int] = set()  # ids of the enclosing groups' definitions
 
-    def visit(x, eligible: Optional[bool], marked, tail, under, at: tuple,
-              below: list) -> Optional[_Found]:
-        # (@ tailcall) holds in a tail position that is plain or rewritten.
-        if (isinstance(x, Call) and TAILCALL in x.attrs
-                and not (tail and (eligible or not under))):
-            verdict.unsatisfiable.append(Diagnostic(
-                "Error" if eligible or marked else "Warning",
-                "TailcallNotSatisfiable",
-                f"(@ tailcall) on call to '{x.callee}' cannot become a "
-                "tail call here", x.span, path_of(at)))
-        if eligible is not None:
-            verdict.sites.append((at, eligible))
-            if eligible:
-                verdict.calls.add(id(x))
-                if tail:
-                    return _Found(TAILCALL in x.attrs, under, at, None)
-            return None
-        if isinstance(x, FunDef):
-            body = below[0][1] if below else None
-            verdict.errors.extend(_leaves(body and body.errors))
-            if TAIL_MOD_CONS in x.attrs and not (body and body.strict):
-                useless[id(x)] = Diagnostic(
-                    "Warning", "UselessMark",
-                    f"'{x.name}' has no strictly-modulo-cons candidate; "
-                    "its DPS version is trivial", x.span, path_of(at))
-            return None
+    def walk(e: Expr, marked: bool, scope: dict[str, int], tail: bool,
+             under: bool, at: tuple):
+        """Walk e, which lies inside a marked function if `marked`, in a
+        tail-modulo-cons position of its function if `tail`, with a
+        constructor argument on the way there if `under`; `at` is e's link
+        for `path_of`.  Return e's candidates, or None."""
+
+        verdict.identifiers.update(_identifiers(e))
+        if isinstance(e, Letrec):
+            outer = {f.name: defs.get(f.name) for f in e.group}
+            defs.update((f.name, f) for f in e.group)
+            yield group(e.group, marked, at)
+        below = []  # (i, candidates) for each i-th child that has some
+        for i, (label, c, bound, tmc) in enumerate(children(e)):
+            bind(scope, bound, 1)
+            r = yield walk(c, marked, scope, tail and tmc is not None,
+                           under or bool(tmc), (label, at))
+            if r is not None:
+                below.append((i, r))
+            bind(scope, bound, -1)
+        if isinstance(e, Letrec):
+            defs.update(outer)
+        if isinstance(e, Call):
+            # The scope rule: a call to a marked definition, not shadowed by
+            # a binder, may be rewritten anywhere inside a marked function,
+            # elsewhere only from within the callee's own group.
+            callee = None if e.callee in scope else defs.get(e.callee)
+            eligible = None
+            if callee is not None and TAIL_MOD_CONS in callee.attrs:
+                eligible = marked or id(callee) in enclosing
+                verdict.sites.append((at, eligible))
+            # (@ tailcall) holds in a tail position that is plain or rewritten.
+            if TAILCALL in e.attrs and not (tail and (eligible or not under)):
+                verdict.unsatisfiable.append(Diagnostic(
+                    "Error" if eligible or marked else "Warning",
+                    "TailcallNotSatisfiable",
+                    f"(@ tailcall) on call to '{e.callee}' cannot become a "
+                    "tail call here", e.span, path_of(at)))
+            if not eligible:
+                return None
+            verdict.calls.add(id(e))
+            return _Found(TAILCALL in e.attrs, under, at, None) if tail else None
         if not below:
             return None
         if len(below) == 1:
             i, found = below[0]
-            verdict.context[id(x)] = i if isinstance(x, Constr) else None
+            verdict.context[id(e)] = i if isinstance(e, Constr) else None
             return found
         found = [r for _, r in below]
         links = [r.links for r in found]
         errors = [r.errors for r in found]
-        if not isinstance(x, Constr):
-            verdict.context[id(x)] = None
+        if not isinstance(e, Constr):
+            verdict.context[id(e)] = None
         else:
             picked = [(i, r) for i, r in below if r.annotated]
             if len(picked) == 1:  # the other arguments are holes
-                verdict.context[id(x)] = picked[0][0]
+                verdict.context[id(e)] = picked[0][0]
                 errors = picked[0][1].errors
             else:
                 errors.insert(0, Diagnostic(
                     "Error", "AmbiguousTmc",
                     f"{len(below)} constructor arguments contain TMC "
                     "candidates; add a (@ tailcall) annotation to pick one",
-                    x.span, path_of(at),
+                    e.span, path_of(at),
                     candidate_paths=[path_of(c) for c in _leaves(links)]))
         return _Found(any(r.annotated for r in found),
                       any(r.strict for r in found), links, errors)
 
-    verdict.marked, verdict.identifiers = _visit_all(p, visit)
-    verdict.warnings = [useless[id(f)] for f in verdict.marked
+    def group(fs: list[FunDef], marked: bool, at: tuple):
+        """Record each definition of fs, then walk its body."""
+
+        enclosing.update(map(id, fs))
+        for f in fs:
+            verdict.identifiers.update([f.name, *f.params])
+            verdict.definitions.append(f)
+            inside = marked or TAIL_MOD_CONS in f.attrs
+            body = yield walk(f.body, inside, dict.fromkeys(f.params, 1),
+                              True, False, (f.name, at))
+            verdict.errors.extend(_leaves(body and body.errors))
+            if TAIL_MOD_CONS in f.attrs and not (body and body.strict):
+                useless[id(f)] = Diagnostic(
+                    "Warning", "UselessMark",
+                    f"'{f.name}' has no strictly-modulo-cons candidate; "
+                    "its DPS version is trivial", f.span, path_of((f.name, at)))
+        enclosing.difference_update(map(id, fs))
+
+    for gi, fs in enumerate(p.groups):
+        drive(group(fs, False, (f"group{gi}", ())))
+    drive(walk(p.main, False, {}, False, False, ("main", ())))
+    verdict.warnings = [useless[id(f)] for f in verdict.definitions
                         if id(f) in useless]
     # A nested function's errors were found before its encloser's.
     verdict.errors.sort(key=lambda d: d.span.byte_start if d.span else 0)
     return verdict
-

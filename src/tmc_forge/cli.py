@@ -12,7 +12,7 @@ import os
 import pathlib
 import sys
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 
 from .gen import BadSpec, Lcg, at_size, gen_value, mix_seed
 from .ir import Diagnostic, Program
@@ -43,7 +43,12 @@ def _emit_diags(diags: list[Diagnostic], filename: str) -> None:
 
 
 class UsageError(Exception):
-    """A file that cannot be read or written."""
+    """A bad command line, or a file that cannot be read or written."""
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # one line and exit 1, not usage and exit 2
+        raise UsageError(message)
 
 
 def _load(path: str):
@@ -137,13 +142,12 @@ def run_bench(program: Program, entries: list[str], sizes: list[int],
     return rows
 
 
+_BENCH_COLUMNS = tuple(f.name for f in fields(BenchRow))
+
+
 def _bench_table(rows: list[BenchRow]) -> str:
-    header = ["variant", "size", "max_stack_depth", "allocations",
-              "dest_writes", "steps"]
-    table = [header] + [[r.variant, str(r.size), str(r.max_stack_depth),
-                         str(r.allocations), str(r.dest_writes), str(r.steps)]
-                        for r in rows]
-    widths = [max(len(row[i]) for row in table) for i in range(len(header))]
+    table = [_BENCH_COLUMNS] + [list(map(str, astuple(r))) for r in rows]
+    widths = [max(map(len, column)) for column in zip(*table)]
     return "\n".join("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip()
                      for row in table)
 
@@ -196,6 +200,8 @@ def cmd_run(args) -> int:
 
 
 def cmd_diff(args) -> int:
+    if args.trials < 0:
+        raise UsageError(f"--trials must be >= 0, got {args.trials}")
     p = _load(args.file)
     report = run_diff(p, args.entry, args.arg, args.trials, args.seed,
                       args.max_stack, args.max_steps)
@@ -221,17 +227,13 @@ def cmd_bench(args) -> int:
         print(_bench_table(rows))
         if fh:
             w = csv_mod.writer(fh)
-            w.writerow(["variant", "size", "max_stack_depth", "allocations",
-                        "dest_writes", "steps"])
-            for r in rows:
-                w.writerow([r.variant, r.size, r.max_stack_depth,
-                            r.allocations, r.dest_writes, r.steps])
+            w.writerow(_BENCH_COLUMNS)
+            w.writerows(map(astuple, rows))
     return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="tmc-forge",
-                                 description="TMC transformation workbench")
+    ap = _Parser(prog="tmc-forge", description="TMC transformation workbench")
     sub = ap.add_subparsers(dest="command", required=True)
 
     def limits(sp):
@@ -289,8 +291,8 @@ def main(argv=None) -> int:
     """Run one command; every documented failure becomes one diagnostic
     line (several for a rejected transformation) and its exit code."""
 
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except ParseError as exc:
         print(f"ERROR ParseError {args.file}:{exc}", file=sys.stderr)

@@ -370,21 +370,3 @@ def well_formed(p: Program) -> list[Diagnostic]:
     drive(check_expr(p.main, ("main", ()), {}, False))
     return diags
 
-
-def iter_fundefs(p: Program) -> list[FunDef]:
-    """Every function definition, including nested letrec groups, in
-    source order."""
-
-    out: list[FunDef] = []
-    stack: list = [p.main] + [f for g in reversed(p.groups) for f in reversed(g)]
-    while stack:
-        x = stack.pop()
-        if isinstance(x, FunDef):
-            out.append(x)
-            stack.append(x.body)
-            continue
-        stack.extend(reversed([c for _, c, _, _ in children(x)]))
-        if isinstance(x, Letrec):
-            stack.extend(reversed(x.group))
-    return out
-

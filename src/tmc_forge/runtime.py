@@ -127,18 +127,30 @@ class _Fn:
         self.regs: list = []
 
 
+def _find(fscope: tuple, name: str):
+    """The function that name resolves to in fscope, a chain (a group's
+    functions by name, the enclosing chain or None), innermost group first."""
+
+    while fscope is not None:
+        group, fscope = fscope
+        if name in group:
+            return group[name]
+    return None
+
+
 class Compiled:
     """A program's toplevel functions by name, and main."""
 
     def __init__(self, program: Program):
         self.functions: dict[str, _Fn] = {}
+        top = (self.functions, None)
         todo = []  # (entry, definition, function scope), nested groups too
         for group in program.groups:
             for f in group:
                 self.functions[f.name] = fn = _Fn(f.name, len(f.params))
-                todo.append((fn, f, self.functions))
+                todo.append((fn, f, top))
         self.main = _Fn("main", 0)
-        _Compiler(self.main, [], False, todo).run(program.main, self.functions)
+        _Compiler(self.main, [], False, todo).run(program.main, top)
         while todo:
             fn, f, fscope = todo.pop()
             _Compiler(fn, f.params, True, todo).run(f.body, fscope)
@@ -172,7 +184,7 @@ class _Compiler:
         self.consts: dict = {}
         self.pending = 0  # steps not yet attached to an instruction
 
-    def run(self, body: Expr, fscope: dict) -> None:
+    def run(self, body: Expr, fscope: tuple) -> None:
         drive(self.expr(body, self.params, fscope, RET))
 
     def reg(self, value=None) -> int:
@@ -185,7 +197,7 @@ class _Compiler:
         self.pending = 0
         return len(self.code) - 1
 
-    def expr(self, e: Expr, scope: dict, fscope: dict, dst):
+    def expr(self, e: Expr, scope: dict, fscope: tuple, dst):
         """Compile e to leave its value in register dst, or in any register
         when dst is None, or to return it when dst is RET.  Returns the
         register.  `scope` maps each value variable to the registers of its
@@ -196,7 +208,8 @@ class _Compiler:
         if t in (Var, Int, Hole):
             if t is Var and scope.get(e.name):
                 r = scope[e.name][-1]
-            elif t is Var and e.name not in fscope and e.name not in BUILTINS:
+            elif (t is Var and _find(fscope, e.name) is None
+                  and e.name not in BUILTINS):
                 self.emit(FAIL, "UnboundName", e.name)
                 return self.reg()  # never read
             else:
@@ -221,9 +234,9 @@ class _Compiler:
             yield self.expr(e.first, scope, fscope, None)
             return (yield self.expr(e.second, scope, fscope, dst))
         if t is Letrec:
-            inner = dict(fscope)
+            inner = ({}, fscope)
             for f in e.group:
-                inner[f.name] = fn = _Fn(f.name, len(f.params))
+                inner[0][f.name] = fn = _Fn(f.name, len(f.params))
                 self.todo.append((fn, f, inner))
             return (yield self.expr(e.body, scope, inner, dst))
         if dst is None:
@@ -261,8 +274,8 @@ class _Compiler:
             if scope.get(e.callee):
                 self.emit(DYNCALL, scope[e.callee][-1], args, out, fscope,
                           e.callee)
-            elif e.callee in fscope:
-                self.emit(CALL, fscope[e.callee], args, out)
+            elif (fn := _find(fscope, e.callee)) is not None:
+                self.emit(CALL, fn, args, out)
             elif e.callee in BUILTINS:
                 self.emit(BUILTIN, e.callee, args, out)
             else:
@@ -395,7 +408,7 @@ class Interp:
                     f = regs[a]
                     if f.__class__ is not str:
                         raise TmcRuntimeError("NotAFunction", e)
-                    a = d.get(f)
+                    a = d[0].get(f) or d[1] and _find(d[1], f)
                     if a is not None:
                         op = CALL
                     elif f in BUILTINS:

@@ -11,7 +11,7 @@ import pytest
 from tmc_forge.analysis import collect_marks, resolve_scope
 from tmc_forge.cli import run_diff
 from tmc_forge.gen import Lcg, gen_cmm_then_chain, gen_cmmlike, gen_value
-from tmc_forge.ir import Call, Let, Letrec, Match, Seq, iter_fundefs
+from tmc_forge.ir import Call, Let, Letrec, Match, Seq
 from tmc_forge.runtime import TmcRuntimeError, eval_dps, eval_program
 from tmc_forge.surface import print_program
 from tmc_forge.transform import TransformError, transform_program
@@ -110,7 +110,8 @@ def test_5_ambiguity_error_and_annotated_tail_call():
 
     t = transform_program(load("tree_map_annotated.tmc"))
     marks = collect_marks(resolve_scope(load("tree_map_annotated.tmc")))
-    dps = {f.name: f for f in iter_fundefs(t)}[marks.dps_name["tree_map"]]
+    dps = {f.name: f for f in resolve_scope(t).definitions}[
+        marks.dps_name["tree_map"]]
 
     def tail_leaves(e):
         if isinstance(e, (Let, Letrec)):

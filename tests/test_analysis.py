@@ -64,6 +64,17 @@ class TestCollectMarks:
         assert verdict.marked == []
         assert collect_marks(verdict).dps_name == {}
 
+    def test_definitions_nested_ones_and_mains_included_in_source_order(self):
+        p = parse_program(
+            "(program"
+            " (letrec (fun a (x) (let v (letrec (fun b (y) (letrec (fun c (z) z)"
+            " (call c y))) (fun d (y) y) (call b x)) (letrec (fun e (y) y) v))))"
+            " (letrec (fun f (x) x) (fun g (x) x))"
+            " (main (letrec (fun m (x) (letrec (fun n (y) y) (call n x)))"
+            " (call m 0))))")
+        names = [f.name for f in resolve_scope(p).definitions]
+        assert names == ["a", "b", "c", "d", "e", "f", "g", "m", "n"]
+
 
 class TestCandidates:
     def test_map_body_has_candidate(self):

@@ -416,6 +416,12 @@ class TestBench:
      "--arg", "list:N", "--sizes", "10,bogus"),
     ("run", "map.tmc", "--entry", "map", "--arg", "fun:add1", "--arg=\u00b2"),
     ("run", "map.tmc", "--entry", "map", "--arg", "fun:add1", "--arg=--5"),
+    ("run", "map.tmc"),
+    ("diff", "map.tmc", "--entry", "map", "--arg", "fun:add1", "--arg",
+     "list:3", "--trials", "abc"),
+    ("diff", "map.tmc", "--entry", "map", "--arg", "fun:add1", "--arg",
+     "list:3", "--trials", "-3"),
+    ("bogus", "map.tmc"),
 ])
 def test_bad_input_spec_is_a_one_line_usage_error(argv, capsys):
     cmd, name, *rest = argv

@@ -38,15 +38,16 @@ PLAN = (
     ("map_tail.tmc", "map_tail", ("fun:bump", "cmmlike:N")),
 )
 
-# PLAN, the four map_variants entries of the paper's table, and
+# PLAN, the four map_variants entries of the paper's table,
 # noisy_constr_args for an effect trace whose order the transformation
-# changes.
+# changes, and flatten_nested for a nested letrec.
 CASES = PLAN + (
     ("map_variants.tmc", "map_direct", ("fun:add1", "list:N")),
     ("map_variants.tmc", "map_acc", ("fun:add1", "list:N")),
     ("map_variants.tmc", "map", ("fun:add1", "list:N")),
     ("map_variants.tmc", "umap", ("fun:add1", "list:N")),
     ("noisy_constr_args.tmc", "noisy", ("list:N",)),
+    ("flatten_nested.tmc", "flatten", ("listof:Nx5",)),
 )
 
 DOWN = """(program

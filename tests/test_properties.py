@@ -19,9 +19,9 @@ from collections import Counter
 
 from hypothesis import given, settings, strategies as st
 
-from tmc_forge.ir import (
-    TAIL_MOD_CONS, Int, Program, iter_fundefs, well_formed)
+from tmc_forge.analysis import resolve_scope
 from tmc_forge.gen import list_value
+from tmc_forge.ir import Int, Program, well_formed
 from tmc_forge.runtime import Block, Interp, eval_program
 from tmc_forge.surface import parse_program, print_program
 from tmc_forge.transform import TransformError, transform_program
@@ -151,8 +151,9 @@ def test_transform_keeps_value_allocations_and_effects(case, lst, tree):
     assert well_formed(t) == [], text
     # One DPS version per marked definition; a nested group is shared by
     # both versions of its encloser, so definitions count once each.
-    marked = [f.name for f in iter_fundefs(p) if TAIL_MOD_CONS in f.attrs]
-    dps = {id(f): f.name for f in iter_fundefs(t) if f.name.endswith("_dps")}
+    marked = [f.name for f in resolve_scope(p).marked]
+    dps = {id(f): f.name for f in resolve_scope(t).definitions
+           if f.name.endswith("_dps")}
     assert sorted(dps.values()) == sorted(n + "_dps" for n in marked), text
     assert same_tree(parse_program(print_program(t)), t), text
     arg = lst if shape == "list" else tree

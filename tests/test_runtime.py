@@ -290,6 +290,35 @@ class TestFunctionValues:
             run_src(src, "main", [])
         assert ei.value.code == "UnboundName"
 
+    # A function value is a name; a call through it resolves the name in the
+    # function scope of the call site.
+    H = "(fun h (y) (call add y {}))"
+
+    def test_local_function_value_called_in_its_own_scope(self):
+        src = (f"(program (letrec (fun top (x) (letrec {self.H.format(100)}"
+               " (let g h (call g x))))) (main 0))")
+        assert run_src(src, "top", [5])[0] == 105
+
+    def test_enclosing_function_value_called_from_a_nested_group(self):
+        src = ("(program (letrec (fun inc (y) (call add y 10)))"
+               f" (letrec (fun top (x) (letrec {self.H.format(100)}"
+               " (let g inc (call g x))))) (main 0))")
+        assert run_src(src, "top", [5])[0] == 15
+
+    def test_local_function_value_is_unbound_where_it_escapes_to(self):
+        src = ("(program (letrec (fun apply (f x) (call f x)))"
+               f" (letrec (fun top (x) (letrec {self.H.format(100)}"
+               " (call apply h x)))) (main 0))")
+        with pytest.raises(TmcRuntimeError) as ei:
+            run_src(src, "top", [5])
+        assert str(ei.value) == "UnboundName: h"
+
+    def test_local_function_shadows_the_name_passed_in(self):
+        src = (f"(program (letrec {self.H.format(1)})"
+               f" (letrec (fun apply (f x) (letrec {self.H.format(1000)}"
+               " (call f x)))) (main (call apply h 5)))")
+        assert run_src(src, "main", [])[0] == 1005
+
 
 class TestInstantiateAndRender:
     def test_nested_literal(self):

@@ -20,7 +20,6 @@ from tmc_forge.ir import (
     Seq,
     SetRef,
     children,
-    iter_fundefs,
     well_formed,
 )
 from tmc_forge.runtime import eval_program
@@ -35,7 +34,7 @@ from conftest import load, marked_chain, nested_chain, same_tree
 
 
 def fundefs(p: Program):
-    return {f.name: f for f in iter_fundefs(p)}
+    return {f.name: f for f in resolve_scope(p).definitions}
 
 
 def tail_leaves(e: Expr):
@@ -94,7 +93,7 @@ class TestDpsTailDiscipline:
         marks = collect_marks(resolve_scope(p))
         dps_names = set(marks.dps_name.values())
         t = transform_program(p)
-        for f in iter_fundefs(t):
+        for f in resolve_scope(t).definitions:
             if f.name not in dps_names:
                 continue
             for leaf in tail_leaves(f.body):
@@ -107,7 +106,7 @@ class TestDpsTailDiscipline:
     ])
     def test_attrs_are_consumed(self, name):
         t = transform_program(load(name))
-        for f in iter_fundefs(t):
+        for f in resolve_scope(t).definitions:
             assert f.attrs == frozenset()
         assert "(@" not in print_program(t)
 
