@@ -57,7 +57,9 @@ class ScopeVerdict:
     # (the call's link for `path_of`, whether it is eligible), in walk order
     sites: list[tuple[tuple, bool]] = field(default_factory=list)
     # id(node of a context) -> for a constructor, the index of the argument
-    # that holds the rest of the context; None for any other node
+    # that holds the rest of the context; None for any other node.  Entries
+    # also lie below constructor arguments that were not picked, which are
+    # holes: a reader enters only from a body and follows chosen arguments.
     context: dict[int, Optional[int]] = field(default_factory=dict)
     warnings: list[Diagnostic] = field(default_factory=list)
     # one TailcallNotSatisfiable per (@ tailcall) that cannot hold, in order

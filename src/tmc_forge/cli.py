@@ -11,7 +11,7 @@ import csv as csv_mod
 import os
 import pathlib
 import sys
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from dataclasses import astuple, dataclass, field, fields
 
 from .gen import BadSpec, Lcg, at_size, gen_value, mix_seed
@@ -60,9 +60,14 @@ def _load(path: str):
     return parse_program(text)
 
 
+@contextmanager
 def _create(path: str):
+    """The file at `path`, open for writing.  Failing to create, write or
+    close it is a usage error, so the body does no other I/O."""
+
     try:
-        return open(path, "w", newline="", encoding="utf-8")
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            yield fh
     except OSError as exc:
         raise UsageError(f"cannot write {path!r}: {exc.strerror}") from None
 
@@ -224,11 +229,11 @@ def cmd_bench(args) -> int:
     with _create(args.csv) if args.csv else nullcontext() as fh:
         rows = run_bench(p, args.entry, sizes, args.arg, args.seed,
                          args.max_stack, args.max_steps)
-        print(_bench_table(rows))
         if fh:
             w = csv_mod.writer(fh)
             w.writerow(_BENCH_COLUMNS)
             w.writerows(map(astuple, rows))
+    print(_bench_table(rows))
     return 0
 
 

@@ -52,6 +52,13 @@ def at_size(spec: str, size: int) -> str:
                                  for f in arg.split("x"))
 
 
+def _spec_int(text: str) -> int:
+    try:  # Python's digit limit guards against quadratic-time conversion
+        return int(text)
+    except ValueError:
+        raise BadSpec(f"integer of {len(text)} characters is too long") from None
+
+
 def gen_value(spec: str, rng: Lcg) -> Value:
     """Build an input value from a generator spec.
 
@@ -60,7 +67,7 @@ def gen_value(spec: str, rng: Lcg) -> Value:
     """
 
     if is_int(spec):
-        return int(spec)
+        return _spec_int(spec)
     if spec == "int":
         return rng.below(100)
     name, _, arg = spec.partition(":")
@@ -68,10 +75,10 @@ def gen_value(spec: str, rng: Lcg) -> Value:
         return arg
     if name in SIZED:
         sizes = arg.split("x", 1) if name == "listof" else [arg]
-        if not all(is_int(s) and int(s) >= 0 for s in sizes):
+        if not all(is_int(s) and _spec_int(s) >= 0 for s in sizes):
             raise BadSpec(f"bad generator spec {spec!r}")
-        n = int(sizes[0])
-        inner = int(sizes[1]) if len(sizes) > 1 else None
+        n = _spec_int(sizes[0])
+        inner = _spec_int(sizes[1]) if len(sizes) > 1 else None
         if name == "list":
             return list_value(rng.below(100) for _ in range(n))
         if name == "sortedlist":

@@ -353,7 +353,7 @@ class Interp:
         if index < 1 or index > len(blk.fields):
             raise TmcRuntimeError(
                 "IndexOutOfRange",
-                f"field {index} of {blk.tag}/{len(blk.fields)}")
+                f"field {self.render(index)} of {blk.tag}/{len(blk.fields)}")
         if blk.fields[index - 1] is not VHOLE:
             raise TmcRuntimeError(
                 "NonHoleOverwrite",
@@ -582,7 +582,12 @@ class Interp:
         while stack:
             x = stack.pop()
             if x.__class__ is int:
-                parts.append(f" {x}")
+                try:
+                    parts.append(f" {x}")
+                except ValueError:  # past Python's conversion digit limit
+                    raise TmcRuntimeError(
+                        "IntTooLarge", f"an integer of {x.bit_length()} bits "
+                        "has too many digits to print") from None
             elif x.__class__ is Block:
                 if not x.fields:
                     parts.append(" " + x.tag)

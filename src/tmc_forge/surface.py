@@ -154,6 +154,14 @@ def _err(node, msg, expected=None) -> ParseError:
     return ParseError(node.span, msg, expected or [])
 
 
+def _int(atom: Atom) -> int:
+    try:  # Python's digit limit guards against quadratic-time conversion
+        return int(atom.text)
+    except ValueError:
+        raise _err(atom, f"integer literal of {len(atom.text)} characters "
+                   "is too long") from None
+
+
 def _head(node: SList) -> str:
     if not node.items or not isinstance(node.items[0], Atom):
         raise _err(node, "expected a keyword form")
@@ -183,7 +191,7 @@ def _attrs(rest: list, allowed: set[str]) -> tuple[frozenset[str], list]:
 def build_expr(node):
     if isinstance(node, Atom):
         if is_int(node.text):
-            return Int(int(node.text), span=node.span)
+            return Int(_int(node), span=node.span)
         return Var(node.text, span=node.span)
     assert isinstance(node, SList)
     if not node.items:
@@ -200,7 +208,7 @@ def build_expr(node):
         need(1, "integer")
         if not isinstance(rest[0], Atom) or not is_int(rest[0].text):
             raise _err(node, "expected integer literal")
-        return Int(int(rest[0].text), span=sp)
+        return Int(_int(rest[0]), span=sp)
     if head == "var":
         need(1, "symbol")
         if not isinstance(rest[0], Atom):
@@ -260,7 +268,7 @@ def build_pattern(node):
         if node.text == "_":
             return PWild(span=node.span)
         if is_int(node.text):
-            return PInt(int(node.text), span=node.span)
+            return PInt(_int(node), span=node.span)
         if node.text[0].isupper():
             # Bare capitalized symbol: nullary constructor pattern.
             return PConstr(node.text, [], span=node.span)

@@ -1,6 +1,7 @@
 """Command-line behavior: exit codes, goldens, CSV output, determinism."""
 
 import csv
+import os
 import subprocess
 import sys
 import threading
@@ -22,6 +23,10 @@ def run_main(capsys, *argv):
 
 def corpus(name):
     return str(CORPUS / name)
+
+
+NEEDS_DEV_FULL = pytest.mark.skipif(not os.path.exists("/dev/full"),
+                                    reason="needs /dev/full")
 
 class TestParse:
     def test_parse_ok(self, capsys):
@@ -422,6 +427,13 @@ class TestBench:
     ("diff", "map.tmc", "--entry", "map", "--arg", "fun:add1", "--arg",
      "list:3", "--trials", "-3"),
     ("bogus", "map.tmc"),
+    # Integers past Python's conversion digit limit.
+    ("run", "map.tmc", "--entry", "map", "--arg", "fun:add1", "--arg",
+     "1" * 5000),
+    ("run", "map.tmc", "--entry", "map", "--arg", "fun:add1", "--arg",
+     "list:" + "1" * 5000),
+    ("diff", "map.tmc", "--entry", "map", "--arg", "fun:add1", "--arg",
+     "listof:3x" + "1" * 5000),
 ])
 def test_bad_input_spec_is_a_one_line_usage_error(argv, capsys):
     cmd, name, *rest = argv
@@ -440,7 +452,14 @@ def test_bad_input_spec_is_a_one_line_usage_error(argv, capsys):
     (("bench", "ok.tmc", "--entry", "f", "--arg", "int", "--sizes", "1",
       "--csv", "nodir/o.csv"),
      "cannot write 'nodir/o.csv': No such file or directory"),
-], ids=["missing", "not_utf8", "out_dir", "csv_dir"])
+    pytest.param(("transform", "ok.tmc", "--out", "/dev/full"),
+                 "cannot write '/dev/full': No space left on device",
+                 marks=NEEDS_DEV_FULL),
+    pytest.param(("bench", "ok.tmc", "--entry", "f", "--arg", "int",
+                  "--sizes", "1", "--csv", "/dev/full"),
+                 "cannot write '/dev/full': No space left on device",
+                 marks=NEEDS_DEV_FULL),
+], ids=["missing", "not_utf8", "out_dir", "csv_dir", "out_full", "csv_full"])
 def test_io_failure_is_a_one_line_usage_error(argv, message, tmp_path,
                                               monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
@@ -448,6 +467,38 @@ def test_io_failure_is_a_one_line_usage_error(argv, message, tmp_path,
     (tmp_path / "latin1.tmc").write_bytes(b"(program (main \xe9))")
     code, out, err = run_main(capsys, *argv)
     assert (code, out, err) == (1, "", f"usage error: {message}\n")
+
+
+DOUBLE = ("(program (letrec (fun d (x n) (match n (case 0 x) (case _ (call d"
+          " (call add x x) (call sub n 1))))))"
+          " (letrec (fun w (n) (setref (constr Box (hole)) (call d 1 n) 1)))"
+          " (letrec (fun p (n) (call print (call d 1 n)))) (main (int 0)))")
+TOO_LARGE = ("ERROR IntTooLarge IntTooLarge: an integer of 15001 bits has too "
+             "many digits to print\n")
+
+
+@pytest.mark.parametrize("argv,code,err", [
+    (("parse", "big.tmc"), 1, "ERROR ParseError big.tmc:1:20: integer "
+     "literal of 5000 characters is too long\n"),
+    (("run", "big_pattern.tmc", "--entry", "main"), 1, "ERROR ParseError "
+     "big_pattern.tmc:1:30: integer literal of 5000 characters is too long\n"),
+    (("run", "double.tmc", "--entry", "d", "--arg", "1", "--arg", "15000"),
+     2, TOO_LARGE),
+    (("diff", "double.tmc", "--entry", "d", "--arg", "1", "--arg", "15000",
+      "--trials", "1"), 2, TOO_LARGE),
+    (("run", "double.tmc", "--entry", "w", "--arg", "15000"), 2, TOO_LARGE),
+    (("run", "double.tmc", "--entry", "p", "--arg", "15000"), 2, TOO_LARGE),
+], ids=["literal", "pattern", "render", "diff", "index", "print"])
+def test_integer_past_the_digit_limit_is_a_one_line_error(
+        argv, code, err, tmp_path, monkeypatch, capsys):
+    # Python refuses to convert such an integer to or from text; the limit
+    # stays in place, as it guards against quadratic-time conversion.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "big.tmc").write_text(f"(program (main (int {'1' * 5000})))")
+    (tmp_path / "big_pattern.tmc").write_text(
+        f"(program (main (match 1 (case {'1' * 5000} 0) (case _ 1))))")
+    (tmp_path / "double.tmc").write_text(DOUBLE)
+    assert run_main(capsys, *argv) == (code, "", err)
 
 
 def test_non_ascii_digit_is_a_symbol(tmp_path, capsys):
