@@ -206,6 +206,42 @@ class TestTransform:
         assert [ln.split()[:2] for ln in err.splitlines()] == [
             ["ERROR", "TailcallNotSatisfiable"], ["ERROR", "AmbiguousTmc"]]
 
+    def test_malformed_and_analysis_diagnostics_together(self, tmp_path,
+                                                         capsys, monkeypatch):
+        # Well-formedness errors come first, in source order, then the
+        # warnings, the unsatisfiable annotations and the ambiguities.
+        monkeypatch.setenv("TMC_FORGE_COLOR", "0")
+        src = tmp_path / "mix.tmc"
+        src.write_text(
+            "(program\n"
+            "  (letrec (fun (@ tail_mod_cons) t (x)\n"
+            "    (match x\n"
+            "      (case Leaf (let y (call (@ tailcall) t x) y))\n"
+            "      (case (Node l r) (constr Node (call t l) (call t r))))))\n"
+            "  (letrec (fun (@ tail_mod_cons) h (x)\n"
+            "    (match x\n"
+            "      (case (Pair a a) (call nope a))\n"
+            "      (case _ (hole)))))\n"
+            "  (main (call add 1)))\n")
+        code, out, err = run_main(capsys, "transform", str(src))
+        assert (code, out) == (1, "")
+        expected = [
+            ("ERROR", "DuplicatePatternVar", "8:12 'a' bound twice in one "
+             "pattern"),
+            ("ERROR", "UnboundCallee", "8:23 callee 'nope' is not a function, "
+             "binder or builtin"),
+            ("ERROR", "MisplacedHole", "9:14 hole outside "
+             "constructor-argument position"),
+            ("ERROR", "ArityMismatch", "10:8 add takes 2 arguments, got 1"),
+            ("WARNING", "UselessMark", "6:10 'h' has no strictly-modulo-cons "
+             "candidate; its DPS version is trivial"),
+            ("ERROR", "TailcallNotSatisfiable", "4:24 (@ tailcall) on call to "
+             "'t' cannot become a tail call here"),
+            ("ERROR", "AmbiguousTmc", "5:23 2 constructor arguments contain "
+             "TMC candidates; add a (@ tailcall) annotation to pick one")]
+        assert err.splitlines() == [f"{sev} {c} {src}:{rest}"
+                                    for sev, c, rest in expected]
+
     @pytest.mark.parametrize("name", ["map.tmc", "flatten_nested.tmc",
                                       "tree_map_ambiguous.tmc"])
     def test_static_analysis_runs_once(self, name, capsys, monkeypatch):

@@ -36,6 +36,24 @@ def codes(p):
     return sorted(d.code for d in well_formed(p))
 
 
+# Each well-formedness code, from an expression or from a letrec group.
+_BAD_EXPR = {
+    "MisplacedHole": lambda: Hole(),
+    "UnboundCallee": lambda: Call("nope", [Int(1)]),
+    "ArityMismatch": lambda: Call("add", [Int(1)]),
+    "EmptyMatch": lambda: Match(Int(1), []),
+    "InvalidIndex": lambda: SetRef(Constr("Box", [Hole()]), Int(0), Int(1)),
+    "DuplicatePatternVar": lambda: Match(Int(1), [
+        (PConstr("Pair", [PVar("a"), PVar("a")]), Var("a"))]),
+}
+_BAD_GROUP = {
+    "DuplicateFunction": lambda: [FunDef("h", ["x"], Int(1)),
+                                  FunDef("h", ["y"], Int(2))],
+    "DuplicateParam": lambda: [FunDef("h", ["x", "x"], Int(1))],
+    "NoParams": lambda: [FunDef("h", [], Int(1))],
+}
+
+
 class TestWellFormed:
     def test_corpus_is_clean(self):
         for name in ("map.tmc", "merge.tmc", "flatten_nested.tmc",
@@ -95,6 +113,40 @@ class TestWellFormed:
         assert "UnboundCallee" not in codes(prog(body))
         # Var("x") in g's body is unbound but variable use is not
         # diagnosed statically; the runtime rejects it.
+
+    @pytest.mark.parametrize("code", sorted(_BAD_EXPR) + sorted(_BAD_GROUP))
+    def test_each_code_in_a_nested_group_and_in_main(self, code):
+        if code in _BAD_EXPR:
+            bad = _BAD_EXPR[code]
+            nested = Letrec([FunDef("g", ["y"], bad())], Call("g", [Int(1)]))
+            in_main = Program([], bad())
+        else:
+            nested = Letrec(_BAD_GROUP[code](), Int(1))
+            in_main = Program([], Letrec(_BAD_GROUP[code](), Int(1)))
+        assert codes(prog(nested)) == [code]
+        # Two levels of letrec, under a constructor argument.
+        assert codes(prog(Constr("Box", [Letrec(
+            [FunDef("k", ["z"], nested)], Call("k", [Int(2)]))]))) == [code]
+        assert codes(in_main) == [code]
+
+    def test_diagnostics_come_in_source_pre_order(self):
+        # Toplevel duplicates first, then each group and main, each node
+        # before its children and a pattern before its clause body.
+        pair_aa = PConstr("Pair", [PVar("a"), PVar("a")])
+        inner = [FunDef("g", [], Match(Int(1), [(pair_aa, Hole())])),
+                 FunDef("g", ["y", "y"], Call("add", [Int(1)]))]
+        f = FunDef("f", ["x"], Seq(SetRef(Var("x"), Int(0), Int(1)),
+                                   Letrec(inner, Call("nope", [Var("x")]))))
+        p = Program([[f, FunDef("f", ["x"], Match(Var("x"), []))],
+                     [FunDef("f", ["x"], Var("x"))]], Hole())
+        assert [d.code for d in well_formed(p)] == [
+            "DuplicateFunction",  # the second f, at toplevel
+            "DuplicateFunction",  # the third f, at toplevel
+            "InvalidIndex", "NoParams", "DuplicatePatternVar", "MisplacedHole",
+            "DuplicateFunction", "DuplicateParam", "ArityMismatch",
+            "UnboundCallee",
+            "DuplicateFunction",  # the second f again, in its group
+            "EmptyMatch", "MisplacedHole"]
 
 
 # A small recursive strategy over hole-free expressions.
