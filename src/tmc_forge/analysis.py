@@ -1,11 +1,12 @@
 """TMC candidate analysis.
 
-One walk (`resolve_scope`) records every definition, resolves each call to
-its definition, decides which calls to marked definitions may be rewritten
-(minimal scope at toplevel, maximal inside marked functions), builds each
-body's tail-modulo-cons context from its children's candidates or finds its
-ambiguity, and flags each unsatisfiable (@ tailcall).  `ScopeVerdict` holds
-the results, the definitions and the identifiers.
+One walk (`resolve_scope`) checks that the program is well formed, records
+every definition, resolves each call to its definition, decides which
+calls to marked definitions may be rewritten (minimal scope at toplevel,
+maximal inside marked functions), builds each body's tail-modulo-cons
+context from its children's candidates or finds its ambiguity, and flags
+each unsatisfiable (@ tailcall).  `ScopeVerdict` holds the results, the
+definitions and the identifiers.
 """
 
 from __future__ import annotations
@@ -22,6 +23,8 @@ from .ir import (
     Diagnostic,
     Expr,
     FunDef,
+    Hole,
+    Int,
     Let,
     Letrec,
     Match,
@@ -29,6 +32,8 @@ from .ir import (
     PConstr,
     Program,
     PVar,
+    Seq,
+    SetRef,
     Var,
     bind,
     children,
@@ -61,6 +66,8 @@ class ScopeVerdict:
     # also lie below constructor arguments that were not picked, which are
     # holes: a reader enters only from a body and follows chosen arguments.
     context: dict[int, Optional[int]] = field(default_factory=dict)
+    # the well-formedness errors, each node's before its children's
+    malformed: list[Diagnostic] = field(default_factory=list)
     warnings: list[Diagnostic] = field(default_factory=list)
     # one TailcallNotSatisfiable per (@ tailcall) that cannot hold, in order
     unsatisfiable: list[Diagnostic] = field(default_factory=list)
@@ -130,6 +137,13 @@ class _Found(NamedTuple):
     errors: object  # the AmbiguousTmc errors on the way, as a tree
 
 
+def _repeats(names) -> list[str]:
+    """Each name that occurs earlier in names, once per repeat."""
+
+    seen: set[str] = set()
+    return [v for v in names if v in seen or seen.add(v)]
+
+
 def _leaves(tree) -> list:
     """The leaves of a tree of lists, left to right; None is empty."""
 
@@ -144,18 +158,28 @@ def _leaves(tree) -> list:
 
 
 def resolve_scope(p: Program) -> ScopeVerdict:
-    """Decide every call site that targets a marked definition and find the
-    context of every function body, in one walk.  Warn about each marked
-    function, nested ones included, that has no strictly-modulo-cons
-    candidate, and report each constructor of a context whose arguments
-    hold candidates when annotations do not single one argument out, and
-    each (@ tailcall) that cannot hold."""
+    """Check that p is well formed, decide every call site that targets a
+    marked definition and find the context of every function body, in one
+    walk.  Warn about each marked function, nested ones included, that has
+    no strictly-modulo-cons candidate, and report each constructor of a
+    context whose arguments hold candidates when annotations do not single
+    one argument out, and each (@ tailcall) that cannot hold.  On a
+    malformed program the rest of the verdict is kept but not trusted."""
 
     verdict = ScopeVerdict()
     useless: dict[int, Diagnostic] = {}
-    # name -> the definition in scope, if any
-    defs = {f.name: f for fs in p.groups for f in fs}
+    defs: dict[str, Optional[FunDef]] = {}  # name -> the definition in scope
     enclosing: set[int] = set()  # ids of the enclosing groups' definitions
+
+    def error(code: str, message: str, span, at: tuple) -> None:
+        verdict.malformed.append(
+            Diagnostic("Error", code, message, span, path_of(at)))
+
+    def misplaced(e: Expr, at: tuple) -> None:
+        """e is not a constructor argument, so it must not be a hole."""
+        if isinstance(e, Hole):
+            error("MisplacedHole", "hole outside constructor-argument "
+                  "position", e.span, at)
 
     def walk(e: Expr, marked: bool, scope: dict[str, int], tail: bool,
              under: bool, at: tuple):
@@ -165,12 +189,35 @@ def resolve_scope(p: Program) -> ScopeVerdict:
         for `path_of`.  Return e's candidates, or None."""
 
         verdict.identifiers.update(_identifiers(e))
-        if isinstance(e, Letrec):
+        if isinstance(e, Call):
+            callee = None if e.callee in scope else defs.get(e.callee)
+            builtin = callee is None and e.callee not in scope
+            if builtin and e.callee not in BUILTINS:
+                error("UnboundCallee", f"callee '{e.callee}' is not a "
+                      "function, binder or builtin", e.span, at)
+            elif builtin and len(e.args) != BUILTINS[e.callee]:
+                error("ArityMismatch", f"{e.callee} takes {BUILTINS[e.callee]}"
+                      f" arguments, got {len(e.args)}", e.span, at)
+        elif isinstance(e, Match) and not e.clauses:
+            error("EmptyMatch", "match with no clauses", e.span, at)
+        elif isinstance(e, SetRef) and isinstance(e.index, Int) and (
+                e.index.n < 1):
+            error("InvalidIndex", f"setref index {e.index.n} must be >= 1 "
+                  "(fields are 1-indexed)", e.span, at)
+        elif isinstance(e, Letrec):
             outer = {f.name: defs.get(f.name) for f in e.group}
             defs.update((f.name, f) for f in e.group)
             yield group(e.group, marked, at)
+        elif not isinstance(e, (Var, Int, Let, Seq, Constr, Match, SetRef,
+                                Hole)):
+            raise TypeError(f"unknown expression node {e!r}")
         below = []  # (i, candidates) for each i-th child that has some
         for i, (label, c, bound, tmc) in enumerate(children(e)):
+            for v in _repeats(bound):  # only a pattern binds several
+                error("DuplicatePatternVar", f"'{v}' bound twice in one "
+                      "pattern", e.clauses[i - 1][0].span, (label, at))
+            if not tmc:
+                misplaced(c, (label, at))
             bind(scope, bound, 1)
             r = yield walk(c, marked, scope, tail and tmc is not None,
                            under or bool(tmc), (label, at))
@@ -183,7 +230,6 @@ def resolve_scope(p: Program) -> ScopeVerdict:
             # The scope rule: a call to a marked definition, not shadowed by
             # a binder, may be rewritten anywhere inside a marked function,
             # elsewhere only from within the callee's own group.
-            callee = None if e.callee in scope else defs.get(e.callee)
             eligible = None
             if callee is not None and TAIL_MOD_CONS in callee.attrs:
                 eligible = marked or id(callee) in enclosing
@@ -229,7 +275,19 @@ def resolve_scope(p: Program) -> ScopeVerdict:
         """Record each definition of fs, then walk its body."""
 
         enclosing.update(map(id, fs))
+        names: set[str] = set()
         for f in fs:
+            if f.name in names:
+                error("DuplicateFunction", f"function '{f.name}' defined "
+                      "twice in one group", f.span, at)
+            names.add(f.name)
+            if _repeats(f.params):
+                error("DuplicateParam", f"duplicate parameter in '{f.name}'",
+                      f.span, at)
+            if not f.params:
+                error("NoParams", f"function '{f.name}' has no parameters",
+                      f.span, at)
+            misplaced(f.body, (f.name, at))
             verdict.identifiers.update([f.name, *f.params])
             verdict.definitions.append(f)
             inside = marked or TAIL_MOD_CONS in f.attrs
@@ -244,7 +302,14 @@ def resolve_scope(p: Program) -> ScopeVerdict:
         enclosing.difference_update(map(id, fs))
 
     for gi, fs in enumerate(p.groups):
+        for f in fs:
+            if f.name in defs:
+                error("DuplicateFunction", f"function '{f.name}' defined "
+                      "twice at toplevel", f.span, (f"group{gi}", ()))
+            defs[f.name] = f
+    for gi, fs in enumerate(p.groups):
         drive(group(fs, False, (f"group{gi}", ())))
+    misplaced(p.main, ("main", ()))
     drive(walk(p.main, False, {}, False, False, ("main", ())))
     verdict.warnings = [useless[id(f)] for f in verdict.definitions
                         if id(f) in useless]

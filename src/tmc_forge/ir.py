@@ -2,7 +2,9 @@
 
 Expressions, patterns, function definitions and programs; `children`,
 the one definition of tail-modulo-cons positions, and the `drive` loop
-that runs every tree walker without host recursion; well-formedness.
+that runs every tree walker without host recursion; diagnostics.  The
+well-formedness checks run in the analysis' one walk (`resolve_scope`);
+`well_formed` reads their result.
 Trees are immutable by convention: passes always rebuild.  Nodes compare
 by identity; a structural `==` would recurse once per level.
 """
@@ -260,7 +262,7 @@ def path_of(at: tuple) -> Path:
 
 
 # ---------------------------------------------------------------------------
-# Well-formedness
+# Diagnostics
 # ---------------------------------------------------------------------------
 
 
@@ -295,78 +297,8 @@ def pattern_vars(p: Pattern) -> list[str]:
 
 
 def well_formed(p: Program) -> list[Diagnostic]:
-    """Check Program invariants; one diagnostic per violation."""
+    """One diagnostic per violated Program invariant, in source order."""
 
-    diags: list[Diagnostic] = []
-    funcs: dict[str, int] = {}  # function names in scope, see `bind`
+    from .analysis import resolve_scope  # analysis imports this module
 
-    def error(code: str, message: str, span: Optional[Span], at: tuple) -> None:
-        diags.append(Diagnostic("Error", code, message, span, path_of(at)))
-
-    def check_expr(e: Expr, at: tuple, scope: dict[str, int], hole_ok: bool):
-        if isinstance(e, Hole):
-            if not hole_ok:
-                error("MisplacedHole", "hole outside constructor-argument "
-                      "position", e.span, at)
-        elif isinstance(e, Call) and e.callee not in funcs and e.callee not in scope:
-            if e.callee not in BUILTINS:
-                error("UnboundCallee", f"callee '{e.callee}' is not a "
-                      "function, binder or builtin", e.span, at)
-            elif len(e.args) != BUILTINS[e.callee]:
-                error("ArityMismatch", f"{e.callee} takes {BUILTINS[e.callee]} "
-                      f"arguments, got {len(e.args)}", e.span, at)
-        elif isinstance(e, Match):
-            if not e.clauses:
-                error("EmptyMatch", "match with no clauses", e.span, at)
-        elif isinstance(e, SetRef):
-            if isinstance(e.index, Int) and e.index.n < 1:
-                error("InvalidIndex", f"setref index {e.index.n} must be >= 1 "
-                      "(fields are 1-indexed)", e.span, at)
-        elif isinstance(e, Letrec):
-            bind(funcs, [f.name for f in e.group], 1)
-            yield check_group(e.group, ("letrec", at))
-        elif not isinstance(e, (Var, Int, Call, Let, Seq, Constr)):
-            raise TypeError(f"unknown expression node {e!r}")
-        patterns = ({f"clause{j}": pat for j, (pat, _) in enumerate(e.clauses)}
-                    if isinstance(e, Match) else {})
-        for label, c, bound, _ in children(e):
-            seen: set[str] = set()
-            for v in bound:
-                if v in seen:
-                    error("DuplicatePatternVar", f"'{v}' bound twice in one "
-                          "pattern", patterns[label].span, (label, at))
-                seen.add(v)
-            bind(scope, seen, 1)
-            yield check_expr(c, (label, at), scope, isinstance(e, Constr))
-            bind(scope, seen, -1)
-        if isinstance(e, Letrec):
-            bind(funcs, [f.name for f in e.group], -1)
-
-    def check_group(group: list[FunDef], at: tuple):
-        seen: set[str] = set()
-        for f in group:
-            if f.name in seen:
-                error("DuplicateFunction", f"function '{f.name}' defined "
-                      "twice in one group", f.span, at)
-            seen.add(f.name)
-            if len(set(f.params)) != len(f.params):
-                error("DuplicateParam", f"duplicate parameter in '{f.name}'",
-                      f.span, at)
-            if not f.params:
-                error("NoParams", f"function '{f.name}' has no parameters",
-                      f.span, at)
-            # Local function bodies do not see enclosing value variables.
-            yield check_expr(f.body, (f.name, at), dict.fromkeys(f.params, 1),
-                             False)
-
-    for gi, group in enumerate(p.groups):
-        for f in group:
-            if f.name in funcs:
-                error("DuplicateFunction", f"function '{f.name}' defined "
-                      "twice at toplevel", f.span, (f"group{gi}", ()))
-            funcs[f.name] = 1
-    for gi, group in enumerate(p.groups):
-        drive(check_group(group, (f"group{gi}", ())))
-    drive(check_expr(p.main, ("main", ()), {}, False))
-    return diags
-
+    return resolve_scope(p).malformed

@@ -40,7 +40,6 @@ from .ir import (
     Var,
     children,
     drive,
-    well_formed,
     with_children,
 )
 
@@ -124,10 +123,10 @@ def transform_program(p: Program, compress: bool = True,
     Every diagnostic found, warnings included, is also appended to
     `diagnostics` when it is given, in the order found."""
 
-    diags = well_formed(p)
     verdict = resolve_scope(p)
     marks = collect_marks(verdict)
-    diags += verdict.warnings + verdict.unsatisfiable + verdict.errors
+    diags = (verdict.malformed + verdict.warnings + verdict.unsatisfiable
+             + verdict.errors)
     if diagnostics is not None:
         diagnostics.extend(diags)
     errors = [d for d in diags if d.severity == "Error"]
@@ -254,6 +253,7 @@ def transform_program(p: Program, compress: bool = True,
     return Program([drive(group(fs)) for fs in p.groups], drive(scrub(p.main)))
 
 
-# Stand-in for a name that `--trace 1` binds (benchmark/tracing.py); nothing
-# in src/ calls it.  ROADMAP item 1 retires it.
+# Stand-ins for names that `--trace 1` binds (benchmark/tracing.py); nothing
+# in src/ calls them, so their spans read 0.  ROADMAP item 1 retires them.
+from .ir import well_formed  # noqa: E402, F401
 check_tailcall_annotations = lambda verdict: verdict.unsatisfiable  # noqa: E731

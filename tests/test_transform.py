@@ -230,11 +230,11 @@ class TestErrorsAndDeterminism:
         assert print_program(parse_program(text)) == text
 
 
-    def test_each_node_is_expanded_twice_before_the_rewrite(self,
-                                                             monkeypatch):
-        # well_formed and resolve_scope's walk are the only passes over the
-        # source before the rewrite; the rewrite's own expansions go
-        # through transform.children, which is not counted.
+    def test_each_node_is_expanded_once_before_the_rewrite(self,
+                                                            monkeypatch):
+        # resolve_scope's walk, which also checks well-formedness, is the
+        # only pass over the source before the rewrite; the rewrite's own
+        # expansions go through transform.children, which is not counted.
         from tmc_forge import analysis, ir
         counts = Counter()
 
@@ -249,7 +249,7 @@ class TestErrorsAndDeterminism:
                   parse_program(marked_chain(30))):
             counts.clear()
             transform_program(p)
-            assert set(counts.values()) == {2}
+            assert set(counts.values()) == {1}
 
     def test_nested_letrec_chain_3000_deep_round_trips(self):
         assert threading.current_thread() is threading.main_thread()
