@@ -181,12 +181,12 @@ def resolve_scope(p: Program) -> ScopeVerdict:
             error("MisplacedHole", "hole outside constructor-argument "
                   "position", e.span, at)
 
-    def walk(e: Expr, marked: bool, scope: dict[str, int], tail: bool,
-             under: bool, at: tuple):
+    def walk(e: Expr, marked: bool, scope: dict[str, int],
+             tail: Optional[FunDef], under: bool, at: tuple):
         """Walk e, which lies inside a marked function if `marked`, in a
-        tail-modulo-cons position of its function if `tail`, with a
-        constructor argument on the way there if `under`; `at` is e's link
-        for `path_of`.  Return e's candidates, or None."""
+        tail-modulo-cons position of the function `tail` if it is given,
+        with a constructor argument on the way there if `under`; `at` is
+        e's link for `path_of`.  Return e's candidates, or None."""
 
         verdict.identifiers.update(_identifiers(e))
         if isinstance(e, Call):
@@ -219,8 +219,9 @@ def resolve_scope(p: Program) -> ScopeVerdict:
             if not tmc:
                 misplaced(c, (label, at))
             bind(scope, bound, 1)
-            r = yield walk(c, marked, scope, tail and tmc is not None,
-                           under or bool(tmc), (label, at))
+            r = yield walk(c, marked, scope,
+                           None if tmc is None else tail, under or bool(tmc),
+                           (label, at))
             if r is not None:
                 below.append((i, r))
             bind(scope, bound, -1)
@@ -234,8 +235,10 @@ def resolve_scope(p: Program) -> ScopeVerdict:
             if callee is not None and TAIL_MOD_CONS in callee.attrs:
                 eligible = marked or id(callee) in enclosing
                 verdict.sites.append((at, eligible))
-            # (@ tailcall) holds in a tail position that is plain or rewritten.
-            if TAILCALL in e.attrs and not (tail and (eligible or not under)):
+            # (@ tailcall) holds in a tail position that is rewritten, or
+            # plain in an unmarked function: a DPS version writes the result.
+            if TAILCALL in e.attrs and not (tail and (eligible or not (
+                    under or TAIL_MOD_CONS in tail.attrs))):
                 verdict.unsatisfiable.append(Diagnostic(
                     "Error" if eligible or marked else "Warning",
                     "TailcallNotSatisfiable",
@@ -292,7 +295,7 @@ def resolve_scope(p: Program) -> ScopeVerdict:
             verdict.definitions.append(f)
             inside = marked or TAIL_MOD_CONS in f.attrs
             body = yield walk(f.body, inside, dict.fromkeys(f.params, 1),
-                              True, False, (f.name, at))
+                              f, False, (f.name, at))
             verdict.errors.extend(_leaves(body and body.errors))
             if TAIL_MOD_CONS in f.attrs and not (body and body.strict):
                 useless[id(f)] = Diagnostic(
@@ -310,7 +313,7 @@ def resolve_scope(p: Program) -> ScopeVerdict:
     for gi, fs in enumerate(p.groups):
         drive(group(fs, False, (f"group{gi}", ())))
     misplaced(p.main, ("main", ()))
-    drive(walk(p.main, False, {}, False, False, ("main", ())))
+    drive(walk(p.main, False, {}, None, False, ("main", ())))
     verdict.warnings = [useless[id(f)] for f in verdict.definitions
                         if id(f) in useless]
     # A nested function's errors were found before its encloser's.

@@ -242,6 +242,23 @@ class TestTransform:
         assert err.splitlines() == [f"{sev} {c} {src}:{rest}"
                                     for sev, c, rest in expected]
 
+    def test_annotated_tail_call_lost_in_the_dps_version(self, tmp_path,
+                                                         capsys, monkeypatch):
+        # In f_dps the call to the unmarked g would become
+        # (setref dst idx (call g rest)), which is no tail call.
+        monkeypatch.setenv("TMC_FORGE_COLOR", "0")
+        src = tmp_path / "lost.tmc"
+        src.write_text(
+            "(program (letrec\n"
+            "  (fun (@ tail_mod_cons) f (xs) (match xs (case Nil (constr Nil))\n"
+            "    (case (Cons x rest) (if (call leq x 50)\n"
+            "      (call (@ tailcall) g rest) (constr Cons x (call f rest))))))\n"
+            "  (fun g (xs) (call f xs)))\n"
+            " (main 0))\n")
+        assert run_main(capsys, "transform", str(src)) == (
+            1, "", f"ERROR TailcallNotSatisfiable {src}:4:6 (@ tailcall) on "
+            "call to 'g' cannot become a tail call here\n")
+
     @pytest.mark.parametrize("name", ["map.tmc", "flatten_nested.tmc",
                                       "tree_map_ambiguous.tmc"])
     def test_static_analysis_runs_once(self, name, capsys, monkeypatch):
