@@ -95,14 +95,12 @@ def collect_marks(verdict: ScopeVerdict) -> MarkSet:
 
     used = verdict.identifiers | set(BUILTINS)
     dps_name: dict[str, str] = {}
-    for f in verdict.marked:
-        if f.name in dps_name:
-            continue
-        cand, k = f.name + "_dps", 2
+    for name in dict.fromkeys(f.name for f in verdict.marked):
+        cand, k = name + "_dps", 2
         while cand in used:
-            cand, k = f"{f.name}_dps{k}", k + 1
+            cand, k = f"{name}_dps{k}", k + 1
         used.add(cand)
-        dps_name[f.name] = cand
+        dps_name[name] = cand
     return MarkSet(dps_name, used)
 
 

@@ -180,13 +180,9 @@ def cmd_transform(args) -> int:
 
 
 def _write_out(args, program: Program) -> None:
-    if args.out:
-        with _create(args.out) as fh:
-            print_program(program, fh.write)
-            fh.write("\n")
-    else:
-        print_program(program, sys.stdout.write)
-        sys.stdout.write("\n")
+    with _create(args.out) if args.out else nullcontext(sys.stdout) as fh:
+        print_program(program, fh.write)
+        fh.write("\n")
 
 
 def cmd_run(args) -> int:
@@ -298,7 +294,9 @@ def main(argv=None) -> int:
 
     try:
         args = build_parser().parse_args(argv)
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
     except ParseError as exc:
         print(f"ERROR ParseError {args.file}:{exc}", file=sys.stderr)
         return 1
@@ -308,7 +306,11 @@ def main(argv=None) -> int:
     except TmcRuntimeError as exc:
         print(f"ERROR {exc.code} {exc}", file=sys.stderr)
         return 2
-    except (BadSpec, UsageError) as exc:
+    except (BadSpec, UsageError, OSError) as exc:
+        if isinstance(exc, OSError):  # from stdout: files raise UsageError
+            # What stdout still buffers would fail again when Python exits.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            exc = f"cannot write stdout: {exc.strerror}"
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
 

@@ -298,7 +298,5 @@ def pattern_vars(p: Pattern) -> list[str]:
 
 def well_formed(p: Program) -> list[Diagnostic]:
     """One diagnostic per violated Program invariant, in source order."""
-
     from .analysis import resolve_scope  # analysis imports this module
-
     return resolve_scope(p).malformed

@@ -523,6 +523,43 @@ def test_io_failure_is_a_one_line_usage_error(argv, message, tmp_path,
     assert (code, out, err) == (1, "", f"usage error: {message}\n")
 
 
+def cli_process(*argv, **kw):
+    """The CLI in a child process, with stdout buffered as by default, so
+    that output can be left over for the flush at exit."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    return subprocess.Popen([sys.executable, "-m", "tmc_forge.cli", *argv],
+                            stderr=subprocess.PIPE, text=True, env=env, **kw)
+
+
+@NEEDS_DEV_FULL
+@pytest.mark.parametrize("argv", [
+    ("parse", corpus("map.tmc")),
+    ("transform", corpus("map.tmc")),
+    ("run", corpus("map.tmc"), "--entry", "map", "--arg", "fun:add1",
+     "--arg", "list:3"),
+    ("bench", corpus("map_variants.tmc"), "--entry", "map", "--arg",
+     "fun:add1", "--arg", "list:N", "--sizes", "1"),
+], ids=["parse", "transform", "run", "bench"])
+def test_full_stdout_is_a_one_line_usage_error(argv):
+    with open("/dev/full", "w") as full:
+        proc = cli_process(*argv, stdout=full)
+        _, err = proc.communicate(timeout=60)
+    assert (proc.returncode, err) == (
+        1, "usage error: cannot write stdout: No space left on device\n")
+
+
+def test_stdout_closed_early_is_a_one_line_usage_error():
+    # The value's text (about 200 KB) is larger than a pipe holds, so the
+    # write is still going on when the reader goes away.
+    proc = cli_process("run", corpus("map.tmc"), "--entry", "map", "--arg",
+                       "fun:add1", "--arg", "list:20000",
+                       stdout=subprocess.PIPE)
+    assert proc.stdout.read(10) == "(Cons 50 ("
+    proc.stdout.close()
+    assert proc.stderr.read() == "usage error: cannot write stdout: Broken pipe\n"
+    assert proc.wait(timeout=60) == 1
+
+
 DOUBLE = ("(program (letrec (fun d (x n) (match n (case 0 x) (case _ (call d"
           " (call add x x) (call sub n 1))))))"
           " (letrec (fun w (n) (setref (constr Box (hole)) (call d 1 n) 1)))"
