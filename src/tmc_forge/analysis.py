@@ -95,12 +95,14 @@ def collect_marks(verdict: ScopeVerdict) -> MarkSet:
 
     used = verdict.identifiers | set(BUILTINS)
     dps_name: dict[str, str] = {}
-    for name in dict.fromkeys(f.name for f in verdict.marked):
-        cand, k = name + "_dps", 2
+    for f in verdict.marked:
+        if f.name in dps_name:
+            continue
+        cand, k = f.name + "_dps", 2
         while cand in used:
-            cand, k = f"{name}_dps{k}", k + 1
+            cand, k = f"{f.name}_dps{k}", k + 1
         used.add(cand)
-        dps_name[name] = cand
+        dps_name[f.name] = cand
     return MarkSet(dps_name, used)
 
 

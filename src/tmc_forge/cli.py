@@ -295,7 +295,7 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         code = args.fn(args)
-        sys.stdout.flush()
+        sys.stdout.flush()  # so that a failed write raises here
         return code
     except ParseError as exc:
         print(f"ERROR ParseError {args.file}:{exc}", file=sys.stderr)

@@ -248,22 +248,9 @@ class TestTailcallAnnotations:
         assert [(d.severity, d.code) for d in diags] == [
             ("Warning", "TailcallNotSatisfiable")]
 
-    # A marked f whose plain tail calls g, an unmarked function.
-    LOST = ("(program (letrec (fun (@ tail_mod_cons) f (xs) (match xs"
-            " (case Nil (constr Nil)) (case (Cons x rest) (if (call leq x 50)"
-            " (call (@ tailcall) g rest) (constr Cons x (call f rest))))))"
-            " (fun g (xs) (call f xs))) (main 0))")
-
-    def test_plain_tail_call_lost_in_the_dps_version_is_error(self):
-        # f's DPS version writes g's result into its destination, so the
-        # call is no tail call there.
-        diags = self.check(self.LOST)
-        assert [(d.severity, d.code, d.span.column) for d in diags] == [
-            ("Error", "TailcallNotSatisfiable",
-             self.LOST.index("(call (@ tailcall)"))]
-
     def test_unmarked_function_in_a_marked_one_keeps_its_tail_calls(self):
-        # h has no DPS version: its plain tail call stays one.
+        # h has no DPS version, so its plain tail call stays one; in the
+        # marked f itself, f_dps would write g's result instead.
         diags = self.check(
             "(program (letrec (fun (@ tail_mod_cons) f (xs) (letrec"
             " (fun h (ys) (call (@ tailcall) g ys)) (constr Cons 1 (call h xs))))"

@@ -8,6 +8,7 @@ from tmc_forge.analysis import resolve_scope
 from tmc_forge.ir import (
     Call,
     Constr,
+    Expr,
     FunDef,
     Hole,
     Int,
@@ -128,6 +129,13 @@ class TestWellFormed:
         assert codes(prog(Constr("Box", [Letrec(
             [FunDef("k", ["z"], nested)], Call("k", [Int(2)]))]))) == [code]
         assert codes(in_main) == [code]
+
+    def test_unknown_node_is_a_type_error(self):
+        class Weird(Expr):
+            span = None
+
+        with pytest.raises(TypeError, match="unknown expression node"):
+            well_formed(prog(Seq(Int(1), Weird())))
 
     def test_diagnostics_come_in_source_pre_order(self):
         # Toplevel duplicates first, then each group and main, each node
