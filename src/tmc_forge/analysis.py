@@ -314,6 +314,9 @@ def resolve_scope(p: Program) -> ScopeVerdict:
         drive(group(fs, False, (f"group{gi}", ())))
     misplaced(p.main, ("main", ()))
     drive(walk(p.main, False, {}, None, False, ("main", ())))
+    # The walkers reach themselves through their cells; unbound, the call's
+    # trees are freed by reference counting, not left to the collector.
+    del walk, group
     verdict.warnings = [useless[id(f)] for f in verdict.definitions
                         if id(f) in useless]
     # A nested function's errors were found before its encloser's.

@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import argparse
 import csv as csv_mod
+import functools
+import gc
 import os
 import pathlib
 import sys
@@ -51,13 +53,30 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+@contextmanager
+def _without_collector():
+    """Run the body without automatic cyclic collection, and restore the
+    caller's setting however it ends.  The static phases (parse, analysis,
+    rewrite, print) build only acyclic trees, which reference counting
+    frees; evaluation keeps the collector, because `setref` can tie cycles."""
+
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def _load(path: str):
     try:
         text = pathlib.Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         why = exc.strerror if isinstance(exc, OSError) else "not UTF-8 text"
         raise UsageError(f"cannot read {path!r}: {why}") from None
-    return parse_program(text)
+    with _without_collector():
+        return parse_program(text)
 
 
 @contextmanager
@@ -162,11 +181,13 @@ def _bench_table(rows: list[BenchRow]) -> str:
 # ---------------------------------------------------------------------------
 
 
+@_without_collector()
 def cmd_parse(args) -> int:
     _write_out(args, _load(args.file))
     return 0
 
 
+@_without_collector()
 def cmd_transform(args) -> int:
     diags: list[Diagnostic] = []
     try:
@@ -233,6 +254,7 @@ def cmd_bench(args) -> int:
     return 0
 
 
+@functools.cache  # once per import: it takes a millisecond and holds cycles
 def build_parser() -> argparse.ArgumentParser:
     ap = _Parser(prog="tmc-forge", description="TMC transformation workbench")
     sub = ap.add_subparsers(dest="command", required=True)

@@ -12,7 +12,7 @@ by identity; a structural `==` would recurse once per level.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 # Attribute names as they appear in source.
 TAIL_MOD_CONS = "tail_mod_cons"
@@ -21,9 +21,9 @@ TAILCALL = "tailcall"
 BUILTINS = {"add": 2, "sub": 2, "leq": 2, "eq": 2, "print": 1, "add1": 1}
 
 
-@dataclass(frozen=True, slots=True)
-class Span:
-    """Byte/line/column range into the source text."""
+class Span(NamedTuple):
+    """Byte/line/column range into the source text.  The reader builds one
+    per token: a named tuple is built in half the time of a dataclass."""
 
     byte_start: int
     byte_end: int

@@ -250,7 +250,9 @@ def transform_program(p: Program, compress: bool = True,
         done[id(fs)] = out
         return out
 
-    return Program([drive(group(fs)) for fs in p.groups], drive(scrub(p.main)))
+    out = Program([drive(group(fs)) for fs in p.groups], drive(scrub(p.main)))
+    del walk, group, scrub  # as in resolve_scope: no cycle outlives the call
+    return out
 
 
 # Stand-ins for names that `--trace 1` binds (benchmark/tracing.py); nothing
