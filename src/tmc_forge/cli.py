@@ -24,7 +24,7 @@ from .runtime import (
     TmcRuntimeError,
     eval_program,
 )
-from .surface import ParseError, parse_program, print_program
+from .surface import ParseError, is_int, parse_program, print_program
 from .transform import TransformError, transform_program
 
 
@@ -239,8 +239,11 @@ def cmd_diff(args) -> int:
 
 def cmd_bench(args) -> int:
     p = _load(args.file)
-    try:
-        sizes = [int(s) for s in args.sizes.split(",") if s]
+    sizes = [s for s in args.sizes.split(",") if s]
+    try:  # each size stands for N in a spec, so it follows the integer rule
+        if not all(map(is_int, sizes)):
+            raise ValueError
+        sizes = [int(s) for s in sizes]  # past the digit limit: ValueError
     except ValueError:
         raise BadSpec(f"bad --sizes value {args.sizes!r}") from None
     with _create(args.csv) if args.csv else nullcontext() as fh:

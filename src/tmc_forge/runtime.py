@@ -327,39 +327,20 @@ class Interp:
 
     def __init__(self, program: Program, max_stack: int = DEFAULT_MAX_STACK,
                  max_steps: int = DEFAULT_MAX_STEPS):
-        self.program = program
         self.max_stack = max_stack
         self.max_steps = max_steps
-        self.nblocks = 0  # blocks this Interp has created, counted or not
         self.metrics = Metrics()
         self.compiled = compile_program(program)
-        # Shared result blocks for setref/leq/eq; only Constr expressions
-        # and tuple-returning builtins count as allocations.
-        self._count_allocs = False
-        self._unit = self.alloc("Tuple", [])
-        self._true = self.alloc("True", [])
-        self._false = self.alloc("False", [])
-        self._count_allocs = True
+        # Shared result blocks for setref/leq/eq; they are not allocations.
+        self._unit = Block("Tuple", [])
+        self._true = Block("True", [])
+        self._false = Block("False", [])
 
-    # -- blocks -----------------------------------------------------------
+    @property
+    def nblocks(self) -> int:
+        """The blocks this Interp has made: its allocations and the 3 shared."""
 
-    def alloc(self, tag: str, values: list) -> Block:
-        self.nblocks += 1
-        if self._count_allocs:
-            self.metrics.allocations += 1
-        return Block(tag, values)
-
-    def set_field(self, blk: Block, index: int, v: Value) -> None:
-        if index < 1 or index > len(blk.fields):
-            raise TmcRuntimeError(
-                "IndexOutOfRange",
-                f"field {self.render(index)} of {blk.tag}/{len(blk.fields)}")
-        if blk.fields[index - 1] is not VHOLE:
-            raise TmcRuntimeError(
-                "NonHoleOverwrite",
-                f"field {index} of {blk.tag} block already initialized")
-        blk.fields[index - 1] = v
-        self.metrics.dest_writes += 1
+        return self.metrics.allocations + 3
 
     # -- evaluation -------------------------------------------------------
 
@@ -392,7 +373,7 @@ class Interp:
         m = self.metrics
         unit = self._unit
         max_steps, max_stack = self.max_steps, self.max_stack
-        steps, depth_seen, allocs = m.steps, m.max_stack_depth, 0
+        steps, depth_seen, allocs, writes = m.steps, m.max_stack_depth, 0, m.dest_writes
         konts: list[tuple] = []  # suspended callers: (code, pc, regs, dst)
         code, pc, regs = fn.code, 0, [*args, *fn.regs]
         try:
@@ -463,7 +444,16 @@ class Interp:
                     if idx.__class__ is not int:
                         raise TmcRuntimeError("TypeError",
                                               "setref index is not an integer")
-                    self.set_field(dest, idx, regs[c])
+                    if idx < 1 or idx > len(dest.fields):
+                        raise TmcRuntimeError(
+                            "IndexOutOfRange", f"field {self.render(idx)} of "
+                            f"{dest.tag}/{len(dest.fields)}")
+                    if dest.fields[idx - 1] is not VHOLE:
+                        raise TmcRuntimeError(
+                            "NonHoleOverwrite",
+                            f"field {idx} of {dest.tag} block already initialized")
+                    dest.fields[idx - 1] = regs[c]
+                    writes += 1
                     v = unit
                     c = d
                 elif op is MOVE:
@@ -485,9 +475,8 @@ class Interp:
                 code, pc, regs, c = konts.pop()
                 regs[c] = v
         finally:
-            m.steps, m.max_stack_depth = steps, depth_seen
+            m.steps, m.max_stack_depth, m.dest_writes = steps, depth_seen, writes
             m.allocations += allocs
-            self.nblocks += allocs
 
     def _match_nodes(self, nodes: tuple, v: Value, regs: list) -> bool:
         """Match a pattern flattened by _Compiler.pattern, binding into regs."""
@@ -514,18 +503,14 @@ class Interp:
         return True
 
     def _builtin(self, name: str, vals) -> Value:
-        try:
-            if name == "print" or name == "add1":
-                (a,) = vals
-                b = a
-            else:
-                a, b = vals
-        except ValueError:
+        if len(vals) != BUILTINS[name]:
             raise TmcRuntimeError("ArityMismatch", f"{name} takes {BUILTINS[name]} "
-                                  f"arguments, got {len(vals)}") from None
+                                  f"arguments, got {len(vals)}")
+        a, b = vals[0], vals[-1]
         if name == "print":
             self.metrics.effect_trace.append(self.render(a))
-            return self.alloc("Tuple", [])
+            self.metrics.allocations += 1
+            return Block("Tuple", [])
         if a.__class__ is not int or b.__class__ is not int:
             raise TmcRuntimeError("TypeError", f"builtin '{name}' expects integers")
         if name == "add1":
@@ -624,9 +609,7 @@ def eval_program(program: Program, entry: str, args: list,
     """Evaluate entry(args) in a fresh Interp; returns (value, metrics, interp)."""
 
     interp = Interp(program, max_stack, max_steps)
-    value = interp.call(entry, args, check_holes=False)
-    interp.assert_no_holes(value)
-    return value, interp.metrics, interp
+    return interp.call(entry, args), interp.metrics, interp
 
 
 def eval_dps(program: Program, dps_entry: str, args: list,
@@ -638,9 +621,7 @@ def eval_dps(program: Program, dps_entry: str, args: list,
     """
 
     interp = Interp(program, max_stack, max_steps)
-    interp._count_allocs = False
-    scratch = interp.alloc("Scratch", [VHOLE])
-    interp._count_allocs = True
+    scratch = Block("Scratch", [VHOLE])
     interp.call(dps_entry, [scratch, 1, *args], check_holes=False)
     out = scratch.fields[0]
     interp.assert_no_holes(out)

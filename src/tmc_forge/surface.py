@@ -394,14 +394,19 @@ _LAYOUT = {
     PInt: lambda x: [str(x.n)],
     PConstr: lambda x: ([f"({x.tag}", *_each(" ", x.subpatterns, None), ")"]
                         if x.subpatterns else [x.tag]),
+    # No breaks: the members of each group at indent 4, main at 8.
+    Program: lambda x: ["(program",
+                        *(it for g in x.groups
+                          for it in ["\n  (letrec", *_each("\n    ", g, 4), ")"]),
+                        "\n  (main ", (x.main, 8), "))"],
 }
 
 
-def _measure(roots) -> dict:
-    """id(node) -> (flat width, items) for every node under roots."""
+def _measure(root) -> dict:
+    """id(node) -> (flat width, items) for root and every node under it."""
 
     order = []  # pre-order, so each node comes before its children
-    stack = list(roots)
+    stack = [root]
     while stack:
         x = stack.pop()
         layout = _LAYOUT.get(x.__class__)
@@ -427,15 +432,13 @@ def _measure(roots) -> dict:
     return table
 
 
-def _render(root: list, write) -> None:
-    """Pass the text of a top-level item list, which has no breaks, at
-    indent 0 to `write` in chunks."""
+def _render(root, write) -> None:
+    """Pass the text of a node at indent 0 to `write` in chunks."""
 
-    table = _measure(it[0] for it in root if it.__class__ is tuple)
+    table = _measure(root)
     out = []
     # Strings to emit and (node, indent, flat) to lay out, last one first.
-    stack = [it if it.__class__ is str else (it[0], it[1], False)
-             for it in reversed(root)]
+    stack = [(root, 0, False)]
     while stack:
         x = stack.pop()
         if x.__class__ is str:
@@ -467,13 +470,6 @@ def print_program(p: Program, write=None) -> str | None:
     With `write`, the text goes to it in chunks and None is returned: the
     text grows with the square of the nesting depth."""
 
-    root = ["(program"]
-    for group in p.groups:
-        root.append("\n  (letrec")
-        for f in group:
-            root += ("\n    ", (f, 4))
-        root.append(")")
-    root += ("\n  (main ", (p.main, 8), "))")
     chunks: list[str] = []
-    _render(root, write or chunks.append)
+    _render(p, write or chunks.append)
     return None if write else "".join(chunks)

@@ -473,6 +473,11 @@ class TestBench:
      "--arg", "lst:3"),
     ("bench", "map_variants.tmc", "--entry", "map", "--arg", "fun:add1",
      "--arg", "list:N", "--sizes", "10,bogus"),
+    # A size stands for N in a spec, so it follows the integer rule.
+    ("bench", "map_variants.tmc", "--entry", "map", "--arg", "fun:add1",
+     "--arg", "list:N", "--sizes", "1_0"),
+    ("bench", "map_variants.tmc", "--entry", "map", "--arg", "fun:add1",
+     "--arg", "list:N", "--sizes", "\u0663"),
     ("run", "map.tmc", "--entry", "map", "--arg", "fun:add1", "--arg=\u00b2"),
     ("run", "map.tmc", "--entry", "map", "--arg", "fun:add1", "--arg=--5"),
     ("run", "map.tmc"),
