@@ -556,6 +556,12 @@ class Interp:
         whatever blocks are shared.  A value that reaches itself through
         a field has no text: CyclicValue."""
 
+        if v.__class__ is int and v.bit_length() <= 2000:  # see same_text
+            return str(v)
+        if v.__class__ is str:
+            return f"<fun {v}>"
+        if v is VHOLE:
+            return "<hole>"
         # Every item is written with a leading space, dropped at the end.
         # A block's field list, pushed under its fields, marks its end.
         # Items are joined into chunks as they come, so that a large value
@@ -596,6 +602,34 @@ class Interp:
                 parts.append(" <hole>")
         chunks.append("".join(parts))
         return "".join(chunks)[1:]
+
+
+def same_text(a: Value, b: Value) -> bool:
+    """True only if a and b surely render to the same text without error;
+    False decides nothing.  True needs the same tags and field counts, equal
+    ints of at most 2000 bits (fewer digits than any limit Python allows),
+    equal function names, no hole, and no non-empty block of a met twice."""
+
+    seen: set[Block] = set()  # keeps the walk finite
+    xs, ys = [a], [b]
+    while xs:
+        x, y = xs.pop(), ys.pop()
+        c = x.__class__
+        if c is not y.__class__:
+            return False
+        if c is Block:
+            if x.tag != y.tag or len(x.fields) != len(y.fields) or x in seen:
+                return False
+            if x.fields:
+                seen.add(x)
+                xs += x.fields  # the last on top: a list's spine first
+                ys += y.fields
+        elif c is int:
+            if x != y or x.bit_length() > 2000:
+                return False
+        elif c is not str or x != y:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -7,13 +7,18 @@ import sys
 import threading
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tmc_forge import cli, transform
 from tmc_forge.cli import main
-from tmc_forge.gen import Lcg, gen_value
+from tmc_forge.gen import Lcg, gen_value, mix_seed
+from tmc_forge.ir import Constr
+from tmc_forge.runtime import TmcRuntimeError, eval_program
 from tmc_forge.surface import parse_program, print_program
+from tmc_forge.transform import TransformError, transform_program
 
 from conftest import CORPUS, FIXTURES, GOLDENS, marked_chain
+from test_properties import programs
 
 
 def run_main(capsys, *argv):
@@ -417,7 +422,109 @@ class TestDiff:
         assert err == ("ERROR CyclicValue CyclicValue: value reaches itself"
                        " through a field\n")
 
+def reference_diff(program, entry, arg_specs, trials, seed):
+    """run_diff as it compared results by rendering both and comparing the
+    texts, on every trial."""
+
+    transformed = cli.transform_program(program)
+    report = cli.DiffReport(entry, trials)
+    for t in range(trials):
+        rng = Lcg(mix_seed(seed, t))
+        args = [gen_value(s, rng) for s in arg_specs]
+        v1, m1, i1 = eval_program(program, entry, args)
+        v2, m2, i2 = eval_program(transformed, entry, args)
+        s1, s2 = i1.render(v1), i2.render(v2)
+        if s1 == s2 and sorted(m1.effect_trace) != sorted(m2.effect_trace):
+            s1, s2 = f"trace {m1.effect_trace}", f"trace {m2.effect_trace}"
+        if s1 != s2:
+            report.failures.append(
+                (mix_seed(seed, t), [i1.render(a) for a in args], s1, s2))
+        elif m1.effect_trace != m2.effect_trace:
+            pos = next(i for i, (a, b)
+                       in enumerate(zip(m1.effect_trace, m2.effect_trace))
+                       if a != b)
+            report.trace_divergences.append((mix_seed(seed, t), pos))
+    return report
+
+
+def swap_fields(program):
+    """program with the fields of every constructor it builds reversed,
+    except the input shapes that its functions match on."""
+
+    todo = [program]
+    while todo:
+        x = todo.pop()
+        if isinstance(x, (list, tuple)):
+            todo += x
+        elif hasattr(x, "__dataclass_fields__"):
+            if type(x) is Constr and x.tag not in ("Cons", "Node", "Leaf"):
+                x.args.reverse()
+            todo += [getattr(x, name) for name in x.__dataclass_fields__]
+    return program
+
+
+def diff_outcome(run, program, entry, specs, seed):
+    try:
+        return run(program, entry, specs, 4, seed)
+    except TmcRuntimeError as exc:
+        return str(exc)
+
+
+class TestDiffAgainstTextComparison:
+    """run_diff renders only the results that same_text cannot vouch for;
+    its reports must be those of comparing the texts of every trial."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(programs(), st.booleans(), st.sampled_from([0, 3]),
+           st.integers(0, 10**6))
+    def test_same_report(self, case, swap, length, seed):
+        shape, text = case
+        try:
+            transformed = transform_program(
+                swap_fields(parse_program(text)) if swap else parse_program(text))
+        except TransformError:
+            return
+        # Without inputs for the tree shape, main is the entry.
+        entry, specs = ("f", [f"list:{length}"]) if shape == "list" else ("main", [])
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cli, "transform_program", lambda p: transformed)
+            want = diff_outcome(reference_diff, parse_program(text), entry,
+                                specs, seed)
+            got = diff_outcome(cli.run_diff, parse_program(text), entry,
+                               specs, seed)
+        assert got == want, text
+
+    def test_swapped_fields_make_failures(self):
+        text = "(program (letrec (fun f (x) (constr Pair x 1))) (main 0))"
+        transformed = transform_program(swap_fields(parse_program(text)))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cli, "transform_program", lambda p: transformed)
+            got = cli.run_diff(parse_program(text), "f", ["int"], 4, 1)
+            assert got == reference_diff(parse_program(text), "f", ["int"], 4, 1)
+        assert len(got.failures) == 4  # no trial draws 1
+
+    def test_results_with_equal_text_are_equal(self, tmp_path, capsys,
+                                               monkeypatch):
+        # A block tagged 12 and the integer 12 are different values with the
+        # same text; diff compares texts, so they agree.
+        src = tmp_path / "twelve.tmc"
+        src.write_text("(program (letrec (fun f (x) (constr 12))) (main 0))")
+        twelve = parse_program("(program (letrec (fun f (x) 12)) (main 0))")
+        monkeypatch.setattr(cli, "transform_program", lambda p: twelve)
+        assert run_main(capsys, "diff", str(src), "--entry", "f", "--arg",
+                        "int", "--trials", "3") == (
+            0, "entry=f trials=3 failures=0 trace_divergences=0\n", "")
+
+
 class TestBench:
+    def test_negative_size_is_refused_and_zero_is_not(self, capsys):
+        base = ("bench", corpus("map_variants.tmc"), "--entry", "map",
+                "--arg", "fun:add1", "--arg", "list:N")
+        assert run_main(capsys, *base, "--sizes=-3,-7") == (
+            1, "", "usage error: bad --sizes value '-3,-7'\n")
+        code, out, _ = run_main(capsys, *base, "--sizes", "0")
+        assert code == 0 and out.splitlines()[1].split()[:2] == ["map", "0"]
+
     def test_table_and_csv(self, capsys, tmp_path):
         dest = tmp_path / "m.csv"
         code, out, _ = run_main(
@@ -493,6 +600,11 @@ class TestBench:
      "list:" + "1" * 5000),
     ("diff", "map.tmc", "--entry", "map", "--arg", "fun:add1", "--arg",
      "listof:3x" + "1" * 5000),
+    # A size counts elements, whether or not a spec takes it for N.
+    ("bench", "map_variants.tmc", "--entry", "map", "--arg", "fun:add1",
+     "--arg", "list:3", "--sizes=-3,-7"),
+    ("bench", "map_variants.tmc", "--entry", "map", "--arg", "fun:add1",
+     "--arg", "list:N", "--sizes=-3,-7"),
 ])
 def test_bad_input_spec_is_a_one_line_usage_error(argv, capsys):
     cmd, name, *rest = argv

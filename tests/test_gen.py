@@ -42,6 +42,41 @@ def test_pinned_stream():
         == [49, 88, 80]
 
 
+@pytest.mark.parametrize("count,n", [(0, 100), (1, 100), (50, 100), (20, 3),
+                                     (5, 1)])
+def test_draws_is_repeated_below(count, n):
+    a, b = Lcg(5), Lcg(5)
+    assert a.draws(count, n) == [b.below(n) for _ in range(count)]
+    assert a.state == b.state
+
+
+def items(v: Block) -> list:
+    """A generated list's elements, each inner list as a Python list."""
+
+    out = []
+    while v.tag == "Cons":
+        x, v = v.fields
+        out.append(items(x) if x.__class__ is Block else x)
+    return out
+
+
+@pytest.mark.parametrize("spec", ["list:10", "sortedlist:10"])
+def test_list_specs_draw_as_repeated_below(spec):
+    rng, got = Lcg(9), Lcg(9)
+    want = [rng.below(100) for _ in range(10)]
+    if spec.startswith("sorted"):
+        want.sort()
+    assert items(gen_value(spec, got)) == want and got.state == rng.state
+
+
+@pytest.mark.parametrize("spec,inner", [("listof:6", None), ("listof:6x3", 3)])
+def test_listof_draws_each_length_before_its_list(spec, inner):
+    rng, got = Lcg(9), Lcg(9)
+    want = [[rng.below(100) for _ in range(
+        inner if inner is not None else rng.below(4))] for _ in range(6)]
+    assert items(gen_value(spec, got)) == want and got.state == rng.state
+
+
 class TestSpecs:
     def test_literal_int(self):
         assert gen_value("17", Lcg(1)) == 17

@@ -1,10 +1,12 @@
 """Interpreter semantics: builtins, mutable blocks, hole discipline,
 metrics accounting, tail-call frame reuse."""
 
-import pytest
-from hypothesis import given, strategies as st
+import sys
 
-from tmc_forge.gen import Lcg, gen_value, list_value
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from tmc_forge.gen import Lcg, gen_cmm_then_chain, gen_value, list_value
 from tmc_forge.ir import Int, Program
 from tmc_forge.runtime import (
     Block,
@@ -13,6 +15,7 @@ from tmc_forge.runtime import (
     VHOLE,
     eval_dps,
     eval_program,
+    same_text,
 )
 from tmc_forge.surface import parse_program
 
@@ -123,6 +126,135 @@ class TestEquality:
         Interp(EMPTY).assert_no_holes(x)  # must not loop forever
 
 
+# Scalars near every edge of same_text: the largest ints it accepts, the
+# smallest it refuses, one past the digit limit, and 12, whose text is the
+# text of a block tagged "12".
+_SCALARS = [0, 1, 12, -3, 2**2000 - 1, -(2**2000 - 1), 2**2000, 10**5000,
+            "f", "g", VHOLE]
+_TAGS = ["A", "B", "12"]
+# Drawn by index: the strategy's repr would fail on 10**5000.
+_scalars = st.integers(0, len(_SCALARS) - 1).map(lambda i: _SCALARS[i])
+
+
+def blocks_of(v) -> list:
+    """The blocks reachable from v, each once."""
+
+    seen, todo = {}, [v]
+    while todo:
+        x = todo.pop()
+        if x.__class__ is Block and id(x) not in seen:
+            seen[id(x)] = x
+            todo += x.fields
+    return list(seen.values())
+
+
+def copy_value(v):
+    """A copy of v with the same sharing and cycles."""
+
+    copies = {id(x): Block(x.tag, x.fields) for x in blocks_of(v)}
+    for c in copies.values():
+        c.fields = [copies[id(f)] if f.__class__ is Block else f
+                    for f in c.fields]
+    return copies[id(v)] if v.__class__ is Block else v
+
+
+_trees = st.recursive(
+    _scalars | st.sampled_from(_TAGS).map(lambda t: Block(t, [])),
+    lambda kids: st.builds(Block, st.sampled_from(_TAGS),
+                           st.lists(kids, max_size=3)),
+    max_leaves=12)
+
+
+def tie(draw, v) -> None:
+    """Perhaps point one field of v at one of v's blocks: a shared block,
+    or a cycle when that block holds the field."""
+
+    blocks = blocks_of(v)
+    holders = [x for x in blocks if x.fields]
+    if holders and draw(st.booleans()):
+        x = draw(st.sampled_from(holders))
+        x.fields[draw(st.integers(0, len(x.fields) - 1))] = draw(
+            st.sampled_from(blocks))
+
+
+@st.composite
+def value_pairs(draw):
+    """Two values that often agree: a copy of the first, perhaps with a
+    field changed or tied on one side, or a second value of its own."""
+
+    a = draw(_trees)
+    tie(draw, a)
+    if draw(st.booleans()):
+        return a, draw(_trees)
+    b = copy_value(a)
+    tie(draw, b)
+    holders = [x for x in blocks_of(b) if x.fields]
+    if holders and draw(st.booleans()):
+        x = draw(st.sampled_from(holders))
+        x.fields[draw(st.integers(0, len(x.fields) - 1))] = draw(_scalars)
+    return a, b
+
+
+def render_or_none(v):
+    try:
+        return Interp(EMPTY).render(v)
+    except TmcRuntimeError:
+        return None
+
+
+# Trees whose copies same_text must accept: no hole, no wide int, no
+# block twice.
+_plain_trees = st.recursive(
+    st.sampled_from([0, 7, -(2**2000 - 1), "f"])
+    | st.sampled_from(_TAGS).map(lambda t: Block(t, [])),
+    lambda kids: st.builds(Block, st.sampled_from(_TAGS),
+                           st.lists(kids, max_size=3)),
+    max_leaves=12)
+
+
+class TestSameText:
+    """`diff` takes same_text's True for equal texts and renders the rest."""
+
+    @settings(max_examples=500)
+    @given(value_pairs())
+    def test_true_means_both_render_to_equal_text(self, pair):
+        a, b = pair
+        if same_text(a, b):
+            text = render_or_none(a)
+            assert text is not None and render_or_none(b) == text
+
+    @given(_plain_trees)
+    def test_true_on_a_copy_of_an_acyclic_unshared_tree(self, tree):
+        assert same_text(tree, copy_value(tree))
+
+    def test_equal_text_of_different_values_is_false(self):
+        i = Interp(EMPTY)
+        assert i.render(Block("12", [])) == i.render(12)
+        assert not same_text(Block("12", []), 12)
+
+    @pytest.mark.parametrize("a,b", [
+        (VHOLE, VHOLE), (2**2000, 2**2000), ("f", "g"), (1, "1"),
+        (Block("A", [1]), Block("B", [1])), (Block("A", [1]), Block("A", [1, 1])),
+    ], ids=["hole", "wide_int", "names", "classes", "tags", "arity"])
+    def test_false_cases(self, a, b):
+        assert not same_text(a, b)
+
+    def test_shared_and_cyclic_blocks_are_false(self):
+        leaf = Block("Leaf", [1])
+        assert not same_text(Block("Pair", [leaf, leaf]), Block("Pair", [leaf, leaf]))
+        loop = Block("Loop", [0, VHOLE])
+        loop.fields[1] = loop
+        assert not same_text(loop, loop)
+        # Only the first value's blocks are tracked; the lockstep walk still
+        # ends, because a cycle of the second never matches a finite first.
+        unrolled = Block("Loop", [0, Block("Loop", [0, Block("Nil", [])])])
+        assert not same_text(unrolled, loop)
+
+    def test_shared_empty_blocks_are_true(self):
+        nil = Block("Nil", [])
+        assert same_text(Block("Pair", [nil, nil]), Block("Pair", [nil, nil]))
+
+
 class TestHoleCheck:
     def test_reports_the_first_hole_in_depth_first_order(self):
         # Fields are visited last to first: field 2's hole is found before
@@ -161,6 +293,18 @@ class TestDeepValues:
             "Nil" + ")" * self.N)
         assert i.render(list_value(range(self.N))) == text
         assert i.render(list_value(range(1, self.N + 1))) != text
+
+    def test_same_text_on_a_long_list(self):
+        assert sys.getrecursionlimit() <= 1000
+        v = list_value(range(self.N))
+        assert same_text(v, list_value(range(self.N)))
+        assert not same_text(v, list_value([*range(self.N - 1), -1]))
+
+    def test_same_text_on_a_deep_chain_in_a_non_last_field(self):
+        assert sys.getrecursionlimit() <= 1000
+        v = gen_cmm_then_chain(10_000, Lcg(1))
+        assert same_text(v, gen_cmm_then_chain(10_000, Lcg(1)))
+        assert not same_text(v, gen_cmm_then_chain(10_000, Lcg(2)))
 
     def test_walkers_reject_cycles(self):
         x = Block("Loop", [0, VHOLE])
