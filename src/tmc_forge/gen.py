@@ -28,16 +28,6 @@ class Lcg:
     def below(self, n: int) -> int:
         return (self.next() >> 33) % n
 
-    def draws(self, count: int, n: int = 100) -> list[int]:
-        """`count` values of `below(n)`, drawn in one loop."""
-
-        state, out = self.state, []
-        for _ in range(count):
-            state = (state * _MUL + _INC) & _MASK
-            out.append((state >> 33) % n)
-        self.state = state
-        return out
-
 
 def mix_seed(seed: int, trial: int) -> int:
     return (seed * 1_000_003 + trial) & _MASK
@@ -90,14 +80,15 @@ def gen_value(spec: str, rng: Lcg) -> Value:
         n = _spec_int(sizes[0])
         inner = _spec_int(sizes[1]) if len(sizes) > 1 else None
         if name == "list":
-            return list_value(rng.draws(n))
+            return list_value([rng.below(100) for _ in range(n)])
         if name == "sortedlist":
-            return list_value(sorted(rng.draws(n)))
+            return list_value(sorted(rng.below(100) for _ in range(n)))
         if name == "listof":
             # list of lists; input shape for flatten.  `listof:NxM` fixes
             # the inner length at M, otherwise it is short and random.
             return list_value([
-                list_value(rng.draws(inner if inner is not None else rng.below(4)))
+                list_value([rng.below(100) for _ in range(
+                    inner if inner is not None else rng.below(4))])
                 for _ in range(n)])
         if name == "tree":
             return drive(_gen_tree(n, rng))

@@ -44,6 +44,9 @@ from .ir import (
 
 DEFAULT_MAX_STACK = 1_000_000
 DEFAULT_MAX_STEPS = 10**9
+# An int of at most this many bits has at most 603 digits, below 640, the
+# lowest digit limit Python allows, so printing it cannot raise IntTooLarge.
+_PRINTABLE_BITS = 2000
 
 
 class TmcRuntimeError(Exception):
@@ -556,12 +559,8 @@ class Interp:
         whatever blocks are shared.  A value that reaches itself through
         a field has no text: CyclicValue."""
 
-        if v.__class__ is int and v.bit_length() <= 2000:  # see same_text
+        if v.__class__ is int and v.bit_length() <= _PRINTABLE_BITS:
             return str(v)
-        if v.__class__ is str:
-            return f"<fun {v}>"
-        if v is VHOLE:
-            return "<hole>"
         # Every item is written with a leading space, dropped at the end.
         # A block's field list, pushed under its fields, marks its end.
         # Items are joined into chunks as they come, so that a large value
@@ -607,8 +606,8 @@ class Interp:
 def same_text(a: Value, b: Value) -> bool:
     """True only if a and b surely render to the same text without error;
     False decides nothing.  True needs the same tags and field counts, equal
-    ints of at most 2000 bits (fewer digits than any limit Python allows),
-    equal function names, no hole, and no non-empty block of a met twice."""
+    ints of at most _PRINTABLE_BITS bits, equal function names, no hole,
+    and no non-empty block of a met twice."""
 
     seen: set[Block] = set()  # keeps the walk finite
     xs, ys = [a], [b]
@@ -625,7 +624,7 @@ def same_text(a: Value, b: Value) -> bool:
                 xs += x.fields  # the last on top: a list's spine first
                 ys += y.fields
         elif c is int:
-            if x != y or x.bit_length() > 2000:
+            if x != y or x.bit_length() > _PRINTABLE_BITS:
                 return False
         elif c is not str or x != y:
             return False

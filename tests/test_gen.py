@@ -42,14 +42,6 @@ def test_pinned_stream():
         == [49, 88, 80]
 
 
-@pytest.mark.parametrize("count,n", [(0, 100), (1, 100), (50, 100), (20, 3),
-                                     (5, 1)])
-def test_draws_is_repeated_below(count, n):
-    a, b = Lcg(5), Lcg(5)
-    assert a.draws(count, n) == [b.below(n) for _ in range(count)]
-    assert a.state == b.state
-
-
 def items(v: Block) -> list:
     """A generated list's elements, each inner list as a Python list."""
 
