@@ -28,7 +28,6 @@ from .ir import (
     Let,
     Letrec,
     Match,
-    Path,
     PConstr,
     Program,
     PVar,
@@ -38,7 +37,6 @@ from .ir import (
     bind,
     children,
     drive,
-    path_of,
 )
 
 
@@ -59,8 +57,8 @@ class ScopeVerdict:
 
     # ids of the eligible calls, valid while the program they belong to lives
     calls: set[int] = field(default_factory=set)
-    # (the call's link for `path_of`, whether it is eligible), in walk order
-    sites: list[tuple[tuple, bool]] = field(default_factory=list)
+    # (the call, whether it is eligible), in walk order
+    sites: list[tuple[Call, bool]] = field(default_factory=list)
     # id(node of a context) -> for a constructor, the index of the argument
     # that holds the rest of the context; None for any other node.  Entries
     # also lie below constructor arguments that were not picked, which are
@@ -82,12 +80,6 @@ class ScopeVerdict:
     def marked(self) -> list[FunDef]:
         """The definitions marked (@ tail_mod_cons), in source order."""
         return [f for f in self.definitions if TAIL_MOD_CONS in f.attrs]
-
-    @property
-    def eligible_paths(self) -> dict[Path, bool]:
-        """Each call's path and verdict, built on demand: a path is as long
-        as the call is deep."""
-        return {path_of(at): ok for at, ok in self.sites}
 
 
 def collect_marks(verdict: ScopeVerdict) -> MarkSet:
@@ -133,7 +125,7 @@ class _Found(NamedTuple):
 
     annotated: bool  # one of them carries (@ tailcall)
     strict: bool  # one of them is strictly modulo cons
-    links: object  # their links for `path_of`, as a tree for `_leaves`
+    calls: object  # the candidate calls, as a tree for `_leaves`
     errors: object  # the AmbiguousTmc errors on the way, as a tree
 
 
@@ -171,22 +163,21 @@ def resolve_scope(p: Program) -> ScopeVerdict:
     defs: dict[str, Optional[FunDef]] = {}  # name -> the definition in scope
     enclosing: set[int] = set()  # ids of the enclosing groups' definitions
 
-    def error(code: str, message: str, span, at: tuple) -> None:
-        verdict.malformed.append(
-            Diagnostic("Error", code, message, span, path_of(at)))
+    def error(code: str, message: str, span) -> None:
+        verdict.malformed.append(Diagnostic("Error", code, message, span))
 
-    def misplaced(e: Expr, at: tuple) -> None:
+    def misplaced(e: Expr) -> None:
         """e is not a constructor argument, so it must not be a hole."""
         if isinstance(e, Hole):
             error("MisplacedHole", "hole outside constructor-argument "
-                  "position", e.span, at)
+                  "position", e.span)
 
     def walk(e: Expr, marked: bool, scope: dict[str, int],
-             tail: Optional[FunDef], under: bool, at: tuple):
+             tail: Optional[FunDef], under: bool):
         """Walk e, which lies inside a marked function if `marked`, in a
         tail-modulo-cons position of the function `tail` if it is given,
-        with a constructor argument on the way there if `under`; `at` is
-        e's link for `path_of`.  Return e's candidates, or None."""
+        with a constructor argument on the way there if `under`.  Return
+        e's candidates, or None."""
 
         verdict.identifiers.update(_identifiers(e))
         if isinstance(e, Call):
@@ -194,34 +185,33 @@ def resolve_scope(p: Program) -> ScopeVerdict:
             builtin = callee is None and e.callee not in scope
             if builtin and e.callee not in BUILTINS:
                 error("UnboundCallee", f"callee '{e.callee}' is not a "
-                      "function, binder or builtin", e.span, at)
+                      "function, binder or builtin", e.span)
             elif builtin and len(e.args) != BUILTINS[e.callee]:
                 error("ArityMismatch", f"{e.callee} takes {BUILTINS[e.callee]}"
-                      f" arguments, got {len(e.args)}", e.span, at)
+                      f" arguments, got {len(e.args)}", e.span)
         elif isinstance(e, Match) and not e.clauses:
-            error("EmptyMatch", "match with no clauses", e.span, at)
+            error("EmptyMatch", "match with no clauses", e.span)
         elif isinstance(e, SetRef) and isinstance(e.index, Int) and (
                 e.index.n < 1):
             error("InvalidIndex", f"setref index {e.index.n} must be >= 1 "
-                  "(fields are 1-indexed)", e.span, at)
+                  "(fields are 1-indexed)", e.span)
         elif isinstance(e, Letrec):
             outer = {f.name: defs.get(f.name) for f in e.group}
             defs.update((f.name, f) for f in e.group)
-            yield group(e.group, marked, at)
+            yield group(e.group, marked)
         elif not isinstance(e, (Var, Int, Let, Seq, Constr, Match, SetRef,
                                 Hole)):
             raise TypeError(f"unknown expression node {e!r}")
         below = []  # (i, candidates) for each i-th child that has some
-        for i, (label, c, bound, tmc) in enumerate(children(e)):
+        for i, (c, bound, tmc) in enumerate(children(e)):
             for v in _repeats(bound):  # only a pattern binds several
                 error("DuplicatePatternVar", f"'{v}' bound twice in one "
-                      "pattern", e.clauses[i - 1][0].span, (label, at))
+                      "pattern", e.clauses[i - 1][0].span)
             if not tmc:
-                misplaced(c, (label, at))
+                misplaced(c)
             bind(scope, bound, 1)
             r = yield walk(c, marked, scope,
-                           None if tmc is None else tail, under or bool(tmc),
-                           (label, at))
+                           None if tmc is None else tail, under or bool(tmc))
             if r is not None:
                 below.append((i, r))
             bind(scope, bound, -1)
@@ -234,7 +224,7 @@ def resolve_scope(p: Program) -> ScopeVerdict:
             eligible = None
             if callee is not None and TAIL_MOD_CONS in callee.attrs:
                 eligible = marked or id(callee) in enclosing
-                verdict.sites.append((at, eligible))
+                verdict.sites.append((e, eligible))
             # (@ tailcall) holds in a tail position that is rewritten, or
             # plain in an unmarked function: a DPS version writes the result.
             if TAILCALL in e.attrs and not (tail and (eligible or not (
@@ -243,11 +233,11 @@ def resolve_scope(p: Program) -> ScopeVerdict:
                     "Error" if eligible or marked else "Warning",
                     "TailcallNotSatisfiable",
                     f"(@ tailcall) on call to '{e.callee}' cannot become a "
-                    "tail call here", e.span, path_of(at)))
+                    "tail call here", e.span))
             if not eligible:
                 return None
             verdict.calls.add(id(e))
-            return _Found(TAILCALL in e.attrs, under, at, None) if tail else None
+            return _Found(TAILCALL in e.attrs, under, e, None) if tail else None
         if not below:
             return None
         if len(below) == 1:
@@ -255,7 +245,7 @@ def resolve_scope(p: Program) -> ScopeVerdict:
             verdict.context[id(e)] = i if isinstance(e, Constr) else None
             return found
         found = [r for _, r in below]
-        links = [r.links for r in found]
+        calls = [r.calls for r in found]
         errors = [r.errors for r in found]
         if not isinstance(e, Constr):
             verdict.context[id(e)] = None
@@ -269,12 +259,11 @@ def resolve_scope(p: Program) -> ScopeVerdict:
                     "Error", "AmbiguousTmc",
                     f"{len(below)} constructor arguments contain TMC "
                     "candidates; add a (@ tailcall) annotation to pick one",
-                    e.span, path_of(at),
-                    candidate_paths=[path_of(c) for c in _leaves(links)]))
+                    e.span, candidates=_leaves(calls)))
         return _Found(any(r.annotated for r in found),
-                      any(r.strict for r in found), links, errors)
+                      any(r.strict for r in found), calls, errors)
 
-    def group(fs: list[FunDef], marked: bool, at: tuple):
+    def group(fs: list[FunDef], marked: bool):
         """Record each definition of fs, then walk its body."""
 
         enclosing.update(map(id, fs))
@@ -282,38 +271,38 @@ def resolve_scope(p: Program) -> ScopeVerdict:
         for f in fs:
             if f.name in names:
                 error("DuplicateFunction", f"function '{f.name}' defined "
-                      "twice in one group", f.span, at)
+                      "twice in one group", f.span)
             names.add(f.name)
             if _repeats(f.params):
                 error("DuplicateParam", f"duplicate parameter in '{f.name}'",
-                      f.span, at)
+                      f.span)
             if not f.params:
                 error("NoParams", f"function '{f.name}' has no parameters",
-                      f.span, at)
-            misplaced(f.body, (f.name, at))
+                      f.span)
+            misplaced(f.body)
             verdict.identifiers.update([f.name, *f.params])
             verdict.definitions.append(f)
             inside = marked or TAIL_MOD_CONS in f.attrs
             body = yield walk(f.body, inside, dict.fromkeys(f.params, 1),
-                              f, False, (f.name, at))
+                              f, False)
             verdict.errors.extend(_leaves(body and body.errors))
             if TAIL_MOD_CONS in f.attrs and not (body and body.strict):
                 useless[id(f)] = Diagnostic(
                     "Warning", "UselessMark",
                     f"'{f.name}' has no strictly-modulo-cons candidate; "
-                    "its DPS version is trivial", f.span, path_of((f.name, at)))
+                    "its DPS version is trivial", f.span)
         enclosing.difference_update(map(id, fs))
 
-    for gi, fs in enumerate(p.groups):
+    for fs in p.groups:
         for f in fs:
             if f.name in defs:
                 error("DuplicateFunction", f"function '{f.name}' defined "
-                      "twice at toplevel", f.span, (f"group{gi}", ()))
+                      "twice at toplevel", f.span)
             defs[f.name] = f
-    for gi, fs in enumerate(p.groups):
-        drive(group(fs, False, (f"group{gi}", ())))
-    misplaced(p.main, ("main", ()))
-    drive(walk(p.main, False, {}, None, False, ("main", ())))
+    for fs in p.groups:
+        drive(group(fs, False))
+    misplaced(p.main)
+    drive(walk(p.main, False, {}, None, False))
     # The walkers reach themselves through their cells; unbound, the call's
     # trees are freed by reference counting, not left to the collector.
     del walk, group

@@ -72,7 +72,7 @@ def _without_collector():
 
 def _load(path: str):
     try:
-        text = pathlib.Path(path).read_text(encoding="utf-8")
+        text = pathlib.Path(path).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         why = exc.strerror if isinstance(exc, OSError) else "not UTF-8 text"
         raise UsageError(f"cannot read {path!r}: {why}") from None
@@ -226,8 +226,6 @@ def cmd_run(args) -> int:
 
 
 def cmd_diff(args) -> int:
-    if args.trials < 0:
-        raise UsageError(f"--trials must be >= 0, got {args.trials}")
     p = _load(args.file)
     report = run_diff(p, args.entry, args.arg, args.trials, args.seed,
                       args.max_stack, args.max_steps)
@@ -325,6 +323,10 @@ def main(argv=None) -> int:
 
     try:
         args = build_parser().parse_args(argv)
+        for flag in ("trials", "max_stack", "max_steps"):  # each a count
+            if getattr(args, flag, 0) < 0:
+                raise UsageError(f"--{flag.replace('_', '-')} must be >= 0, "
+                                 f"got {getattr(args, flag)}")
         code = args.fn(args)
         sys.stdout.flush()  # so that a failed write raises here
         return code

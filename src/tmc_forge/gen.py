@@ -39,6 +39,8 @@ class BadSpec(ValueError):
 
 # Generators whose spec ends in a size: `<name>:<n>`, or `listof:<n>x<m>`.
 SIZED = ("list", "sortedlist", "tree", "cmmlike", "listof")
+# A tree's block count grows exponentially with its depth: about 5e5 at 30.
+MAX_TREE_DEPTH = 30
 
 
 def at_size(spec: str, size: int) -> str:
@@ -63,7 +65,7 @@ def gen_value(spec: str, rng: Lcg) -> Value:
     """Build an input value from a generator spec.
 
     Specs: a bare integer, `int`, `list:<n>`, `sortedlist:<n>`,
-    `tree:<depth>`, `cmmlike:<n>`, `fun:<name>`.
+    `tree:<depth>` (at most MAX_TREE_DEPTH), `cmmlike:<n>`, `fun:<name>`.
     """
 
     if is_int(spec):
@@ -75,7 +77,8 @@ def gen_value(spec: str, rng: Lcg) -> Value:
         return arg
     if name in SIZED:
         sizes = arg.split("x", 1) if name == "listof" else [arg]
-        if not all(is_int(s) and _spec_int(s) >= 0 for s in sizes):
+        if not all(is_int(s) and _spec_int(s) >= 0 for s in sizes) or (
+                name == "tree" and _spec_int(arg) > MAX_TREE_DEPTH):
             raise BadSpec(f"bad generator spec {spec!r}")
         n = _spec_int(sizes[0])
         inner = _spec_int(sizes[1]) if len(sizes) > 1 else None

@@ -161,38 +161,31 @@ class Program:
     main: Expr
 
 
-Path = tuple
-
-
-def children(e: Expr) -> list[tuple[str, Expr, tuple, Optional[bool]]]:
-    """(label, child, bound_names, tmc) for each direct subexpression of e,
-    in evaluation order; bound_names are the value variables the child sees
+def children(e: Expr) -> list[tuple[Expr, tuple, Optional[bool]]]:
+    """(child, bound_names, tmc) for each direct subexpression of e, in
+    evaluation order; bound_names are the value variables the child sees
     in addition to e's.  tmc is None unless the child is in a
     tail-modulo-cons position -- Let.body, Seq.second, the Match clause
     bodies, Letrec.body and the Constr arguments -- and then says whether
     it is a constructor argument.  Every pass that follows TMC positions
-    derives them from here.  Labels are the path components used by
-    diagnostics.  The bodies of a Letrec group are not children: they open
-    a fresh scope.
+    derives them from here.  The bodies of a Letrec group are not
+    children: they open a fresh scope.
     """
 
     if isinstance(e, (Call, Constr)):
         tmc = True if isinstance(e, Constr) else None
-        return [(f"arg{i}", a, (), tmc) for i, a in enumerate(e.args)]
+        return [(a, (), tmc) for a in e.args]
     if isinstance(e, Let):
-        return [("bound", e.bound, (), None),
-                ("body", e.body, (e.binder,), False)]
+        return [(e.bound, (), None), (e.body, (e.binder,), False)]
     if isinstance(e, Seq):
-        return [("first", e.first, (), None), ("second", e.second, (), False)]
+        return [(e.first, (), None), (e.second, (), False)]
     if isinstance(e, Match):
-        return [("scrutinee", e.scrutinee, (), None)] + [
-            (f"clause{j}", b, tuple(pattern_vars(pt)), False)
-            for j, (pt, b) in enumerate(e.clauses)]
+        return [(e.scrutinee, (), None)] + [
+            (b, tuple(pattern_vars(pt)), False) for pt, b in e.clauses]
     if isinstance(e, SetRef):
-        return [("dest", e.dest, (), None), ("index", e.index, (), None),
-                ("value", e.value, (), None)]
+        return [(e.dest, (), None), (e.index, (), None), (e.value, (), None)]
     if isinstance(e, Letrec):
-        return [("letrec_body", e.body, (), False)]
+        return [(e.body, (), False)]
     return []
 
 
@@ -250,17 +243,6 @@ def bind(scope: dict[str, int], names, k: int) -> None:
             del scope[v]
 
 
-def path_of(at: tuple) -> Path:
-    """The path of the link `at`.  Walkers hand each child the link
-    (label, parent's link); the root's link is ()."""
-
-    labels = []
-    while at:
-        label, at = at
-        labels.append(label)
-    return tuple(reversed(labels))
-
-
 # ---------------------------------------------------------------------------
 # Diagnostics
 # ---------------------------------------------------------------------------
@@ -272,8 +254,8 @@ class Diagnostic:
     code: str
     message: str
     span: Optional[Span] = None
-    path: Path = ()
-    candidate_paths: list = field(default_factory=list)
+    # for AmbiguousTmc, the competing calls, left to right
+    candidates: list = field(default_factory=list, repr=False)
 
     def render(self, filename: str = "<input>") -> str:
         if self.span is not None:

@@ -113,7 +113,7 @@ def check_single_completion(body: Expr, dps_names: set[str]) -> None:
             raise AssertionError(
                 "internal error: a control path of a DPS body does not end "
                 "in a destination write or DPS call")
-        stack.extend(c for _, c, _, tmc in children(e) if tmc is not None)
+        stack.extend(c for c, _, tmc in children(e) if tmc is not None)
 
 
 def transform_program(p: Program, compress: bool = True,
@@ -145,7 +145,7 @@ def transform_program(p: Program, compress: bool = True,
             fs = yield group(e.group)
             return Letrec(fs, (yield scrub(e.body)), span=e.span)
         new = []
-        for _, c, _, _ in children(e):
+        for c, _, _ in children(e):
             new.append((yield scrub(c)))
         if isinstance(e, Call):
             return Call(e.callee, new, frozenset(), span=e.span)
@@ -219,7 +219,7 @@ def transform_program(p: Program, compress: bool = True,
             return Letrec(fs, (yield walk(e.body, dest, cctx, namer)),
                           span=e.span)
         new = []
-        for _, c, _, tmc in children(e):
+        for c, _, tmc in children(e):
             if tmc is None:
                 new.append((yield scrub(c)))
             else:

@@ -2,7 +2,7 @@
 checks."""
 
 from tmc_forge.analysis import collect_marks, resolve_scope
-from tmc_forge.ir import Constr, children
+from tmc_forge.ir import Call, Constr, Letrec, children
 from tmc_forge.surface import parse_program
 
 from conftest import load
@@ -29,12 +29,25 @@ def decomposition(verdict, body):
             holes.append((x, under))
             continue
         nodes.append(x)
-        kids = [(c, under or tmc) for _, c, _, tmc in children(x)
+        kids = [(c, under or tmc) for c, _, tmc in children(x)
                 if tmc is not None]
         if isinstance(x, Constr):
             kids = [kids[verdict.context[id(x)]]]
         stack.extend(reversed(kids))
     return nodes, holes
+
+
+def sites_in(verdict, root):
+    """The verdict on each call site below root, local functions' bodies
+    included, in walk order."""
+    inside, stack = set(), [root]
+    while stack:
+        x = stack.pop()
+        inside.add(id(x))
+        stack.extend(c for c, _, _ in children(x))
+        if isinstance(x, Letrec):
+            stack.extend(f.body for f in x.group)
+    return [ok for call, ok in verdict.sites if id(call) in inside]
 
 
 def chosen(verdict):
@@ -110,15 +123,37 @@ class TestDecompose:
         # The Cons in the body of the second clause continues in its arg1.
         assert chosen(verdict) == {id(f.body.clauses[1][1].body): 1}
 
-    def test_ambiguous_two_candidate_paths(self):
+    def test_ambiguous_two_candidates(self):
         p = load("tree_map_ambiguous.tmc")
-        verdict = resolve_scope(p)
+        verdict, f = verdict_and_function(p, "tree_map")
         [diag] = verdict.errors
+        node = f.body.clauses[1][1]  # (constr Node (call ..) (call ..))
         assert diag.code == "AmbiguousTmc"
-        assert diag.path == ("group0", "tree_map", "clause1")
-        assert diag.candidate_paths == [
-            ("group0", "tree_map", "clause1", "arg0"),
-            ("group0", "tree_map", "clause1", "arg1")]
+        assert diag.span is node.span
+        # Nodes compare by identity: the two calls themselves, in order.
+        assert diag.candidates == node.args
+
+    def test_nested_ambiguity_candidates_left_to_right(self):
+        p = parse_program(
+            "(program (letrec (fun (@ tail_mod_cons) f (t) (match t"
+            " (case (Leaf v) (constr Leaf v))"
+            " (case (Node a b c d e) (constr Node"
+            "   (constr Pair (call f a) (call f b)) (call f c)"
+            "   (constr Pair (call f d) (call f e)))))))"
+            " (main (int 0)))")
+        verdict, f = verdict_and_function(p, "f")
+        node = f.body.clauses[1][1]
+        pair1, c, pair2 = node.args
+        assert all(isinstance(x, Call) for x in (*pair1.args, c, *pair2.args))
+        # One error per competing constructor, the outer one first, each
+        # listing every call below it.
+        assert [d.code for d in verdict.errors] == ["AmbiguousTmc"] * 3
+        assert [d.span for d in verdict.errors] == [
+            node.span, pair1.span, pair2.span]
+        spans = [d.span.byte_start for d in verdict.errors]
+        assert spans == sorted(spans)
+        assert [d.candidates for d in verdict.errors] == [
+            [*pair1.args, c, *pair2.args], pair1.args, pair2.args]
 
     def test_annotation_singles_out_one_argument(self):
         p = load("tree_map_annotated.tmc")
@@ -167,29 +202,26 @@ class TestScope:
     def test_toplevel_main_call_not_eligible(self):
         p = load("map_toplevel_call.tmc")
         verdict = resolve_scope(p)
-        assert verdict.eligible_paths[("main",)] is False
+        assert dict(verdict.sites)[p.main] is False
 
     def test_recursive_call_in_own_group_eligible(self):
         p = load("map.tmc")
-        verdict = resolve_scope(p)
-        paths = {pt: ok for pt, ok in verdict.eligible_paths.items()}
-        inside = [ok for pt, ok in paths.items() if pt[:2] == ("group0", "map")]
-        assert inside == [True]
+        verdict, f = verdict_and_function(p, "map")
+        assert sites_in(verdict, f.body) == [True]
 
     def test_nested_local_call_inside_marked_function_eligible(self):
         p = load("flatten_nested.tmc")
         verdict = resolve_scope(p)
         # Every call site inside marked `flatten` (including the local
         # append_flatten group) is eligible.
-        inside = {pt: ok for pt, ok in verdict.eligible_paths.items()
-                  if pt and pt[0] == "group0"}
-        assert inside and all(inside.values())
+        inside = [ok for f in p.groups[0] for ok in sites_in(verdict, f.body)]
+        assert inside and all(inside)
 
     def test_mutual_toplevel_cross_calls_eligible(self):
         p = load("flatten_mutual.tmc")
         verdict = resolve_scope(p)
-        assert verdict.eligible_paths
-        assert all(verdict.eligible_paths.values())
+        assert verdict.sites
+        assert all(ok for _, ok in verdict.sites)
 
     def test_unmarked_sibling_group_call_not_eligible(self):
         p = parse_program(
@@ -198,10 +230,8 @@ class TestScope:
             "   (constr Cons 1 (call f xs))))"
             " (letrec (fun g (xs) (call f xs)))"
             " (main 0))")
-        verdict = resolve_scope(p)
-        g_sites = [ok for pt, ok in verdict.eligible_paths.items()
-                   if pt[:2] == ("group1", "g")]
-        assert g_sites == [False]
+        verdict, g = verdict_and_function(p, "g")
+        assert sites_in(verdict, g.body) == [False]
 
     def test_useless_mark_warning(self):
         p = parse_program(

@@ -517,6 +517,15 @@ class TestDiffAgainstTextComparison:
 
 
 class TestBench:
+    def test_tree_sizes_are_depths_and_the_default_sizes_too_deep(self,
+                                                                capsys):
+        # A depth of 100 would take about 1.5^100 blocks: refused before
+        # anything is built.
+        assert run_main(capsys, "bench", corpus("tree_map_annotated.tmc"),
+                        "--entry", "tree_map", "--arg", "fun:add1",
+                        "--arg", "tree:N") == (
+            1, "", "usage error: bad generator spec 'tree:100'\n")
+
     def test_negative_size_is_refused_and_zero_is_not(self, capsys):
         base = ("bench", corpus("map_variants.tmc"), "--entry", "map",
                 "--arg", "fun:add1", "--arg", "list:N")
@@ -707,6 +716,33 @@ def test_integer_past_the_digit_limit_is_a_one_line_error(
         f"(program (main (match 1 (case {'1' * 5000} 0) (case _ 1))))")
     (tmp_path / "double.tmc").write_text(DOUBLE)
     assert run_main(capsys, *argv) == (code, "", err)
+
+
+@pytest.mark.parametrize("cmd", [
+    ("run", "map.tmc"), ("diff", "map.tmc"),
+    ("bench", "map_variants.tmc", "--sizes", "3")])
+@pytest.mark.parametrize("flag", ["--max-stack", "--max-steps"])
+def test_negative_limit_is_a_usage_error_and_zero_is_not(cmd, flag, capsys):
+    name, file, *rest = cmd
+    argv = (name, corpus(file), "--entry", "map", "--arg", "fun:add1",
+            "--arg", "list:3", *rest, flag)
+    assert run_main(capsys, *argv, "-5") == (
+        1, "", f"usage error: {flag} must be >= 0, got -5\n")
+    # A limit of 0 stops the run at once, as a runtime error.
+    code, _, err = run_main(capsys, *argv, "0")
+    assert code != 1 and "usage error" not in err
+
+
+def test_byte_order_mark_is_skipped(tmp_path, capsys):
+    text = (CORPUS / "map.tmc").read_text(encoding="utf-8")
+    plain, bom = tmp_path / "plain.tmc", tmp_path / "bom.tmc"
+    plain.write_text(text, encoding="utf-8")
+    bom.write_text(text, encoding="utf-8-sig")
+    assert bom.read_bytes().startswith(b"\xef\xbb\xbf")
+    for cmd in ("parse", "transform"):
+        want = run_main(capsys, cmd, str(plain))
+        assert want[0] == 0
+        assert run_main(capsys, cmd, str(bom)) == want
 
 
 def test_non_ascii_digit_is_a_symbol(tmp_path, capsys):

@@ -112,7 +112,9 @@ class TestSpecs:
         assert gen_value("fun:add1", Lcg(1)) == "add1"
 
     def test_bad_specs(self):
-        for s in ("list:", "list:x", "list:-1", "frob:3", "frob", ""):
+        # A tree's block count grows exponentially with its depth.
+        for s in ("list:", "list:x", "list:-1", "frob:3", "frob", "",
+                  "tree:31"):
             with pytest.raises(BadSpec):
                 gen_value(s, Lcg(1))
 

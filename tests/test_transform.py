@@ -190,7 +190,7 @@ class TestErrorsAndDeterminism:
             x = stack.pop()
             if isinstance(x, Letrec):
                 groups.append(x.group)
-            stack.extend(c for _, c, _, _ in children(x))
+            stack.extend(c for c, _, _ in children(x))
         assert len(groups) == 2 and groups[0] is groups[1]
 
     def test_constructor_in_an_unpicked_argument_is_copied_verbatim(self):
@@ -209,7 +209,7 @@ class TestErrorsAndDeterminism:
                 x = stack.pop()
                 if isinstance(x, Constr) and x.tag == "Box":
                     found.append(x)
-                stack.extend(c for _, c, _, _ in children(x))
+                stack.extend(c for c, _, _ in children(x))
             assert len(found) == 1 and same_tree(found[0], box), name
 
     def test_transform_output_round_trips_through_printer(self):
