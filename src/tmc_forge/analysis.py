@@ -51,18 +51,16 @@ class MarkSet:
 @dataclass
 class ScopeVerdict:
     """The scope rule's verdict on every call to a marked definition, not
-    shadowed by a binder, and the context of every body: the nodes on the
-    way down to its candidates, the eligible calls in its tail-modulo-cons
-    positions.  All else the rewrite reaches is a hole."""
+    shadowed by a binder, and the context of every body: its candidates
+    (the eligible calls in its tail-modulo-cons positions) and the nodes
+    on the way down to them, through chosen constructor arguments only.
+    All else the rewrite reaches is a hole."""
 
-    # ids of the eligible calls, valid while the program they belong to lives
-    calls: set[int] = field(default_factory=set)
     # (the call, whether it is eligible), in walk order
     sites: list[tuple[Call, bool]] = field(default_factory=list)
     # id(node of a context) -> for a constructor, the index of the argument
-    # that holds the rest of the context; None for any other node.  Entries
-    # also lie below constructor arguments that were not picked, which are
-    # holes: a reader enters only from a body and follows chosen arguments.
+    # that holds the rest of the context, None if no argument is picked; None
+    # for any other node.  Valid while the program it belongs to lives.
     context: dict[int, Optional[int]] = field(default_factory=dict)
     # the well-formedness errors, each node's before its children's
     malformed: list[Diagnostic] = field(default_factory=list)
@@ -234,10 +232,10 @@ def resolve_scope(p: Program) -> ScopeVerdict:
                     "TailcallNotSatisfiable",
                     f"(@ tailcall) on call to '{e.callee}' cannot become a "
                     "tail call here", e.span))
-            if not eligible:
+            if not (eligible and tail):
                 return None
-            verdict.calls.add(id(e))
-            return _Found(TAILCALL in e.attrs, under, e, None) if tail else None
+            verdict.context[id(e)] = None  # a candidate
+            return _Found(TAILCALL in e.attrs, under, e, None)
         if not below:
             return None
         if len(below) == 1:
@@ -247,13 +245,22 @@ def resolve_scope(p: Program) -> ScopeVerdict:
         found = [r for _, r in below]
         calls = [r.calls for r in found]
         errors = [r.errors for r in found]
-        if not isinstance(e, Constr):
-            verdict.context[id(e)] = None
-        else:
+        verdict.context[id(e)] = None
+        if isinstance(e, Constr):
             picked = [(i, r) for i, r in below if r.annotated]
             if len(picked) == 1:  # the other arguments are holes
-                verdict.context[id(e)] = picked[0][0]
-                errors = picked[0][1].errors
+                j, r = picked[0]
+                verdict.context[id(e)], errors = j, r.errors
+                # Drop their entries, and those reached from them through
+                # tail-modulo-cons children; a node without an entry ends
+                # the search, so that each entry is dropped once.
+                stack = [e.args[i] for i, _ in below if i != j]
+                while stack:
+                    x = stack.pop()
+                    if id(x) in verdict.context:
+                        del verdict.context[id(x)]
+                        stack.extend(c for c, _, tmc in children(x)
+                                     if tmc is not None)
             else:
                 errors.insert(0, Diagnostic(
                     "Error", "AmbiguousTmc",

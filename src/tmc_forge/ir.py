@@ -191,10 +191,10 @@ def children(e: Expr) -> list[tuple[Expr, tuple, Optional[bool]]]:
 
 def with_children(e: Expr, new: list[Expr]) -> Expr:
     """e with `new` in place of its children (in `children` order); spans,
-    binders, patterns, attributes and Letrec groups are kept."""
+    binders, patterns and Letrec groups are kept, call attributes dropped."""
 
     if isinstance(e, Call):
-        return Call(e.callee, new, e.attrs, span=e.span)
+        return Call(e.callee, new, span=e.span)
     if isinstance(e, Constr):
         return Constr(e.tag, new, span=e.span)
     if isinstance(e, Let):

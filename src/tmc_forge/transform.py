@@ -2,18 +2,17 @@
 
 For each marked function f this produces:
   * f_dps -- takes (dst, idx, ...params) and writes its result into the
-    destination; every eligible call in a context hole becomes a regular
-    tail call to a *_dps companion, every other hole becomes a
+    destination; every candidate of the context becomes a regular tail
+    call to a *_dps companion, and every hole below the context a
     destination write.  Nested constructor applications are compressed:
     constructor layers are delayed in a one-hole constructor context and
     materialized in a single write at reification time.
   * the rewritten direct f -- same interface as before; plain tail
     positions are untouched, and the switch into DPS happens only inside
-    a constructor whose chosen argument holds an eligible call.
+    a constructor whose chosen argument holds a candidate.
 Both walk the original body: a node outside `ScopeVerdict.context` is a hole.
 Like the analysis, the rewrite is one generator pair under `ir.drive`:
-`walk` for a body's context, `group` for definitions, and `scrub` copies
-the holes.
+`walk` for a body, its context and its holes, `group` for definitions.
 """
 
 from __future__ import annotations
@@ -132,61 +131,49 @@ def transform_program(p: Program, compress: bool = True,
     errors = [d for d in diags if d.severity == "Error"]
     if errors:
         raise TransformError(errors)
-    calls, context, dps_name = verdict.calls, verdict.context, marks.dps_name
+    context, dps_name = verdict.context, marks.dps_name
     dps_names = set(dps_name.values())
     done: dict[int, list[FunDef]] = {}  # id(group) -> rewritten group
 
-    def scrub(e: Expr):
-        """Copy a hole: strip consumed attributes and rewrite nested letrec
-        groups.  It never reads `context`, whose entries below an argument
-        that was not picked do not make a node part of a context."""
-
-        if isinstance(e, Letrec):
-            fs = yield group(e.group)
-            return Letrec(fs, (yield scrub(e.body)), span=e.span)
-        new = []
-        for c, _, _ in children(e):
-            new.append((yield scrub(c)))
-        if isinstance(e, Call):
-            return Call(e.callee, new, frozenset(), span=e.span)
-        return with_children(e, new)
-
-    def reify(dest: Dest, cctx: tuple, namer: FreshNamer):
-        """Materialize the delayed context: allocate the innermost layer
-        with a Hole and write the whole nest into `dest`.  Returns the new
-        hole as destination, and the function that puts the code which
-        continues there after the allocation and the write."""
-
-        inner, outer = cctx
-        d2 = namer.fresh("dst")
-        alloc = Constr(inner.tag,
-                       list(inner.left) + [Hole()] + list(inner.right))
-        write = dest.setref(_plug(outer, Var(d2)))
-        return (Dest(d2, Int(inner.hole_index)),
-                lambda rest: Let(d2, alloc, Seq(write, rest)))
-
     def walk(e: Expr, dest: Optional[Dest], cctx: Optional[tuple],
-             namer: FreshNamer):
-        """Rewrite e, a body or part of its context, into the direct version
-        of its function when `dest` is None, else into DPS code that writes
-        the result, wrapped in the delayed `cctx`, to `dest`."""
+             namer: Optional[FreshNamer]):
+        """Rewrite e, a body or part of one, into the direct version of its
+        function when `dest` is None, else into DPS code that writes the
+        result, wrapped in the delayed `cctx`, to `dest`.  A hole, or a
+        candidate of the direct version, is copied, which needs no `namer`:
+        call attributes are dropped and nested letrec groups rewritten."""
 
-        if id(e) not in context:  # a hole
-            if dest is None:
-                return (yield scrub(e))
-            if id(e) not in calls:
-                return dest.setref(_plug(cctx, (yield scrub(e))))
-            dest, wrap = reify(dest, cctx, namer) if cctx else (dest, None)
-            args = [Var(dest.block), dest.index]
-            for a in e.args:
-                args.append((yield scrub(a)))
-            call = Call(dps_name[e.callee], args, frozenset(), span=e.span)
-            return wrap(call) if wrap else call
+        if dest is not None and id(e) not in context:  # a hole
+            return dest.setref(_plug(cctx, (yield walk(e, None, None, None))))
+        if isinstance(e, Letrec):
+            return Letrec((yield group(e.group)),
+                          (yield walk(e.body, dest, cctx, namer)), span=e.span)
+        if dest is None and (id(e) not in context or isinstance(e, Call)):
+            new = []
+            for c, _, _ in children(e):
+                new.append((yield walk(c, None, None, None)))
+            return with_children(e, new)
+        if cctx and (isinstance(e, Call) or isinstance(e, Match)
+                     and len(e.clauses) >= 2):
+            # Materialize the delayed context: allocate the innermost layer
+            # with a hole, write the whole nest into `dest` and go on into the
+            # new hole.  A call writes there, and a multi-branch match would
+            # duplicate the delayed context.
+            (inner, outer), d2 = cctx, namer.fresh("dst")
+            alloc = Constr(inner.tag,
+                           list(inner.left) + [Hole()] + list(inner.right))
+            write = dest.setref(_plug(outer, Var(d2)))
+            rest = yield walk(e, Dest(d2, Int(inner.hole_index)), None, namer)
+            return Let(d2, alloc, Seq(write, rest))
+        if isinstance(e, Call):  # a candidate: the DPS tail call
+            args = (yield walk(e, None, None, None)).args
+            return Call(dps_name[e.callee], [Var(dest.block), dest.index,
+                                             *args], span=e.span)
         if isinstance(e, Constr):
             j = context[id(e)]  # the argument that holds the context
             args = []
             for i, a in enumerate(e.args):
-                args.append(a if i == j else (yield scrub(a)))
+                args.append(a if i == j else (yield walk(a, None, None, None)))
             if dest is None or not compress:
                 # The constructor rule: allocate with a hole in argument j,
                 # and go on in DPS into that hole.
@@ -210,18 +197,10 @@ def transform_program(p: Program, compress: bool = True,
             for v, b in reversed(binds):
                 out = Let(v, b, out)
             return out
-        if isinstance(e, Match) and cctx and len(e.clauses) >= 2:
-            # A multi-branch match would duplicate the delayed context.
-            dest, wrap = reify(dest, cctx, namer)
-            return wrap((yield walk(e, dest, None, namer)))
-        if isinstance(e, Letrec):
-            fs = yield group(e.group)
-            return Letrec(fs, (yield walk(e.body, dest, cctx, namer)),
-                          span=e.span)
         new = []
         for c, _, tmc in children(e):
             if tmc is None:
-                new.append((yield scrub(c)))
+                new.append((yield walk(c, None, None, None)))
             else:
                 new.append((yield walk(c, dest, cctx, namer)))
         return with_children(e, new)
@@ -250,8 +229,9 @@ def transform_program(p: Program, compress: bool = True,
         done[id(fs)] = out
         return out
 
-    out = Program([drive(group(fs)) for fs in p.groups], drive(scrub(p.main)))
-    del walk, group, scrub  # as in resolve_scope: no cycle outlives the call
+    out = Program([drive(group(fs)) for fs in p.groups],
+                  drive(walk(p.main, None, None, None)))
+    del walk, group  # as in resolve_scope: no cycle outlives the call
     return out
 
 

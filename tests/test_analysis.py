@@ -1,11 +1,29 @@
 """Scope, the tail-modulo-cons context of each body, and annotation
 checks."""
 
-from tmc_forge.analysis import collect_marks, resolve_scope
-from tmc_forge.ir import Call, Constr, Letrec, children
-from tmc_forge.surface import parse_program
+import sys
 
-from conftest import load
+from hypothesis import given, settings
+
+from tmc_forge.analysis import collect_marks, resolve_scope
+from tmc_forge.ir import TAILCALL, Call, Constr, Letrec, children
+from tmc_forge.surface import parse_program
+from tmc_forge.transform import TransformError, transform_program
+
+from conftest import CORPUS, ROOT, load
+from test_properties import programs
+
+sys.path.insert(0, str(ROOT / "benchmark"))
+from workloads import corpus_units, generate_program  # noqa: E402
+
+# Box is ambiguous, but lies in the argument of Pair that is not picked:
+# the rewrite copies it, the let and the Cons below it as holes.
+PAIR_BOX = (
+    "(program (letrec (fun (@ tail_mod_cons) f (v) (match v"
+    " (case Nil (constr Nil)) (case (Cons x rest) (constr Pair"
+    " (call (@ tailcall) f rest) (constr Box (let z x"
+    " (constr Cons z (call f rest))) (call f rest)))))))"
+    " (main (int 0)))")
 
 
 def verdict_and_function(p, fname):
@@ -21,11 +39,12 @@ def verdict_and_function(p, fname):
 def decomposition(verdict, body):
     """The context nodes of body that the rewrite reaches, and its holes,
     left to right, each with whether a constructor argument lies on the way
-    (strictly modulo cons)."""
+    (strictly modulo cons).  The candidates, calls in the context, count as
+    holes."""
     nodes, holes, stack = [], [], [(body, False)]
     while stack:
         x, under = stack.pop()
-        if id(x) not in verdict.context:
+        if id(x) not in verdict.context or isinstance(x, Call):
             holes.append((x, under))
             continue
         nodes.append(x)
@@ -48,6 +67,55 @@ def sites_in(verdict, root):
         if isinstance(x, Letrec):
             stack.extend(f.body for f in x.group)
     return [ok for call, ok in verdict.sites if id(call) in inside]
+
+
+def context_by_hand(verdict):
+    """The ids of the nodes that the rewrite does not treat as holes, found
+    without reading the context: from each function body down
+    tail-modulo-cons children, and through a constructor into its one
+    argument with candidates, or else its one argument with annotated
+    candidates, to every node with a candidate at or below it.  The
+    candidates are the eligible calls so reached."""
+    eligible = {id(c) for c, ok in verdict.sites if ok}
+    roots = [f.body for f in verdict.definitions]
+    order, stack = [], list(roots)
+    while stack:
+        x = stack.pop()
+        order.append(x)
+        stack.extend(c for c, _, tmc in children(x) if tmc is not None)
+    below = {}  # id(node) -> (its candidates, the annotated ones), counted
+    for x in reversed(order):  # each node after its children
+        if isinstance(x, Call):
+            ok = id(x) in eligible
+            below[id(x)] = (ok, ok and TAILCALL in x.attrs)
+        else:
+            kids = [below[id(c)] for c, _, tmc in children(x)
+                    if tmc is not None]
+            below[id(x)] = (sum(n for n, _ in kids), sum(a for _, a in kids))
+    reached, stack = set(), roots
+    while stack:
+        x = stack.pop()
+        if below[id(x)][0]:
+            reached.add(id(x))
+            kids = [c for c, _, tmc in children(x)
+                    if tmc is not None and below[id(c)][0]]
+            if isinstance(x, Constr) and len(kids) > 1:
+                kids = [c for c in kids if below[id(c)][1]]
+                assert len(kids) == 1
+            stack.extend(kids)
+    return reached
+
+
+def assert_exact_context(text, what):
+    """If text transforms, its context holds exactly the nodes that
+    `context_by_hand` reaches."""
+    p = parse_program(text)
+    try:
+        transform_program(p)
+    except TransformError:
+        return
+    verdict = resolve_scope(p)
+    assert set(verdict.context) == context_by_hand(verdict), what
 
 
 def chosen(verdict):
@@ -109,8 +177,9 @@ class TestCandidates:
         # context is the only one.
         p = load("map_toplevel_call.tmc")
         verdict, f = verdict_and_function(p, "map")
-        nodes, _ = decomposition(verdict, f.body)
-        assert sorted(verdict.context) == sorted(map(id, nodes))
+        nodes, holes = decomposition(verdict, f.body)
+        candidates = [h for h, _ in holes if id(h) in verdict.context]
+        assert sorted(verdict.context) == sorted(map(id, nodes + candidates))
 
 
 class TestDecompose:
@@ -119,7 +188,7 @@ class TestDecompose:
         verdict, f = verdict_and_function(p, "map")
         _, holes = decomposition(verdict, f.body)
         assert [under for _, under in holes] == [False, True]
-        assert id(holes[1][0]) in verdict.calls
+        assert id(holes[1][0]) in verdict.context
         # The Cons in the body of the second clause continues in its arg1.
         assert chosen(verdict) == {id(f.body.clauses[1][1].body): 1}
 
@@ -188,14 +257,43 @@ class TestDecompose:
                         continue
                     nodes, holes = decomposition(verdict, f.body)
                     candidates = [h for h, _ in holes
-                                  if id(h) in verdict.calls]
+                                  if id(h) in verdict.context]
                     assert candidates, name
                     # A constructor's chosen argument holds a candidate.
                     for x in nodes:
                         if isinstance(x, Constr):
                             arg = x.args[verdict.context[id(x)]]
-                            assert (id(arg) in verdict.context
-                                    or id(arg) in verdict.calls), name
+                            assert id(arg) in verdict.context, name
+
+
+class TestExactContext:
+    """The context holds the candidates and the nodes on the way to them
+    through chosen arguments, and nothing else: no entry below an argument
+    that was not picked."""
+
+    def test_pair_box(self):
+        p = parse_program(PAIR_BOX)
+        verdict, f = verdict_and_function(p, "f")
+        pair = f.body.clauses[1][1]
+        call, box = pair.args
+        assert verdict.errors == []
+        assert chosen(verdict) == {id(pair): 0}
+        assert set(verdict.context) == {id(f.body), id(pair), id(call)}
+        assert_exact_context(PAIR_BOX, "Pair/Box")
+
+    def test_corpus(self):
+        for path in sorted(CORPUS.glob("*.tmc")):
+            assert_exact_context(path.read_text(), path.name)
+
+    def test_pool(self):
+        units = corpus_units()
+        for i in range(64):
+            assert_exact_context(generate_program(i, units), f"pool {i}")
+
+    @settings(max_examples=300, deadline=None)
+    @given(programs())
+    def test_generated_programs(self, case):
+        assert_exact_context(case[1], case[1])
 
 
 class TestScope:

@@ -53,6 +53,55 @@ class TestParse:
         assert code == 0 and out == ""
         assert dest.read_text().startswith("(program")
 
+@pytest.mark.parametrize("source,column,message", [
+    # The builder's checks, form by form.
+    ("(program (main ()))", 15, "empty form"),
+    ("(program (main (let x 1)))", 15,
+     "'let' takes 3 argument(s) (expected binder, bound, body)"),
+    ("(program (main (var (x))))", 15, "expected symbol"),
+    ("(program (main (call)))", 15, "call needs a callee symbol"),
+    ("(program (main (let (x) 1 x)))", 15, "let binder must be a symbol"),
+    ("(program (main (constr)))", 15, "constr needs a tag symbol"),
+    ("(program (main (match x)))", 15,
+     "match needs a scrutinee and at least one clause"),
+    ("(program (main (match x y)))", 24, "expected (case pat expr)"),
+    ("(program (main (letrec x)))", 15,
+     "letrec needs at least one fundef and a body"),
+    ("(program (main (match x (case ((A) b) 1))))", 30,
+     "constructor pattern needs a tag symbol"),
+    ("(program (letrec (foo)) (main 0))", 17, "expected (fun ...)"),
+    ("(program (letrec (fun f x x)) (main 0))", 17,
+     "expected (fun attrs? name (params) body)"),
+    ("(program (letrec (fun f ((a)) a)) (main 0))", 24,
+     "parameters must be symbols"),
+    ("(program (letrec (fun f () 0)) (main 0))", 24,
+     "function needs at least one parameter"),
+    # parse_program's checks of the program form.
+    ("(program (main 0)) (main 1)", 19, "trailing input after program form"),
+    ("(main 0)", 0, "expected (program ...)"),
+    ("(program x)", 9, "expected (letrec ...) or (main ...)"),
+    ("(program (main 0) (letrec (fun f (x) x)))", 18, "letrec after main"),
+    ("(program (letrec) (main 0))", 9, "letrec needs at least one fundef"),
+    ("(program (main 0) (main 1))", 18, "duplicate main"),
+    ("(program (main 0 1))", 9, "main takes one expression"),
+    ("(program (mane 0))", 9, "unknown toplevel form 'mane'"),
+])
+def test_parse_error_is_one_line_and_exit_1(source, column, message,
+                                            tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("TMC_FORGE_COLOR", "0")
+    (tmp_path / "bad.tmc").write_text(source)
+    code, out, err = run_main(capsys, "parse", "bad.tmc")
+    assert (code, out) == (1, "")
+    assert err == f"ERROR ParseError bad.tmc:1:{column}: {message}\n"
+
+
+def test_var_form_prints_as_its_name(tmp_path, capsys):
+    (tmp_path / "var.tmc").write_text("(program (main (var x)))")
+    code, out, err = run_main(capsys, "parse", str(tmp_path / "var.tmc"))
+    assert (code, out, err) == (0, "(program\n  (main x))\n", "")
+
+
 class TestTransform:
     def test_golden_map(self, capsys):
         code, out, err = run_main(capsys, "transform", corpus("map.tmc"))
@@ -411,6 +460,23 @@ class TestDiff:
             "FAIL seed=1000003 inputs=[24, (Cons 83 (Cons 18 Nil))] "
             "lhs=(Pair 24 (Cons 83 (Cons 18 Nil))) "
             "rhs=(Pair (Cons 83 (Cons 18 Nil)) 24)"]
+
+    def test_extra_effect_is_a_failure_on_the_traces(self, tmp_path, capsys,
+                                                     monkeypatch):
+        src = tmp_path / "echo.tmc"
+        src.write_text("(program (letrec (fun f (x) (seq (call print x) x)))"
+                       " (main 0))")
+        twice = parse_program("(program (letrec (fun f (x) (seq (call print"
+                              " x) (seq (call print x) x)))) (main 0))")
+        monkeypatch.setattr(cli, "transform_program", lambda p: twice)
+        code, out, err = run_main(capsys, "diff", str(src), "--entry", "f",
+                                  "--arg", "int", "--trials", "1",
+                                  "--seed", "1")
+        assert code == 2 and err == ""
+        assert out.splitlines() == [
+            "entry=f trials=1 failures=1 trace_divergences=0",
+            "FAIL seed=1000003 inputs=[24] lhs=trace ['24'] "
+            "rhs=trace ['24', '24']"]
 
     def test_cyclic_result_is_a_runtime_error(self, tmp_path, capsys):
         src = tmp_path / "cycle.tmc"
@@ -864,3 +930,24 @@ class TestExitPaths:
         assert print_program(parse_program(text)) == text
         if command == "transform":
             assert "(fun f_dps " in text
+
+
+@pytest.mark.parametrize("argv", [
+    ("run", "--entry", "tree_map", "--arg", "fun:add1", "--arg", "tree:3",
+     "--transform"),
+    ("diff", "--entry", "tree_map", "--arg", "fun:add1", "--arg", "tree:3"),
+    ("bench", "--entry", "tree_map", "--arg", "fun:add1", "--arg", "tree:N",
+     "--sizes", "1,2"),
+])
+def test_rejected_rewrite_is_one_line_and_exit_1(argv, capsys, monkeypatch):
+    # Every command that runs the transformed program refuses it as
+    # `transform` does.
+    monkeypatch.chdir(CORPUS.parent)
+    monkeypatch.setenv("TMC_FORGE_COLOR", "0")
+    cmd, *rest = argv
+    code, out, err = run_main(capsys, cmd, "corpus/tree_map_ambiguous.tmc",
+                              *rest)
+    assert (code, out) == (1, "")
+    assert err == ("ERROR AmbiguousTmc corpus/tree_map_ambiguous.tmc:9:10 2 "
+                   "constructor arguments contain TMC candidates; add a "
+                   "(@ tailcall) annotation to pick one\n")

@@ -8,16 +8,21 @@ from hypothesis import given, settings, strategies as st
 
 from tmc_forge.gen import Lcg, gen_cmm_then_chain, gen_value, list_value
 from tmc_forge.ir import Int, Program
+from tmc_forge.cli import run_diff
 from tmc_forge.runtime import (
+    JUMP,
+    MOVE,
     Block,
     Interp,
     TmcRuntimeError,
     VHOLE,
+    compile_program,
     eval_dps,
     eval_program,
     same_text,
 )
 from tmc_forge.surface import parse_program
+from tmc_forge.transform import transform_program
 
 from conftest import CORPUS, FIXTURES
 
@@ -477,3 +482,67 @@ class TestInstantiateAndRender:
     def test_render_matches_input_list(self, xs):
         want = "".join(f"(Cons {x} " for x in xs) + "Nil" + ")" * len(xs)
         assert Interp(EMPTY).render(list_value(xs)) == want
+
+
+class TestBoundBranches:
+    """An `if` or `match` whose value is bound, not returned: each clause
+    leaves its value in one register (MOVE) and jumps past the clauses
+    after it (JUMP)."""
+
+    SRC = """(program
+      (letrec (fun (@ tail_mod_cons) f (v)
+        (match v
+          (case Nil (constr Nil))
+          (case (Cons x rest)
+            (let y (if (call leq x 50) 0 x)
+              (let z (match rest (case Nil 7) (case _ y))
+                (constr Cons (call add y z) (call f rest))))))))
+      (main (int 0)))"""
+
+    def test_the_code_moves_and_jumps(self):
+        code = compile_program(parse_program(self.SRC)).functions["f"].code
+        assert {MOVE, JUMP} <= {ins[0] for ins in code}
+
+    def test_value_and_counters(self):
+        # The input of `run --arg list:6 --seed 1`: 49 69 39 65 83 56.
+        p = parse_program(self.SRC)
+        arg = gen_value("list:6", Lcg(1))
+        for prog, counters in ((p, (7, 7, 0, 111)),
+                               (transform_program(p), (2, 7, 6, 175))):
+            v, m, i = eval_program(prog, "f", [arg])
+            assert i.render(v) == ("(Cons 0 (Cons 138 (Cons 0 (Cons 130"
+                                   " (Cons 166 (Cons 63 Nil))))))")
+            assert (m.max_stack_depth, m.allocations, m.dest_writes,
+                    m.steps) == counters
+
+    def test_steps_on_one_element_by_hand(self):
+        # One step per node whose evaluation starts.  f's body: match, v;
+        # let y, the if's match, leq, x, 50, the True clause's 0 (8); let z,
+        # match, rest, the Nil clause's 7 (12); then, in the original, Cons,
+        # add, y, z, call f, rest (18) and f(Nil): match, v, Nil (21).  The
+        # direct version goes on with let dst0, Cons, add, y, z, hole (18),
+        # seq, call f_dps, dst0, 2, rest (23), f_dps(Nil): match, v,
+        # setref, dst, idx, Nil (29), and returns dst0 (30).
+        p = parse_program(self.SRC)
+        for prog, counters in ((p, (2, 2, 0, 21)),
+                               (transform_program(p), (2, 2, 1, 30))):
+            v, m, i = eval_program(prog, "f", [list_value([5])])
+            assert i.render(v) == "(Cons 7 Nil)"
+            assert (m.max_stack_depth, m.allocations, m.dest_writes,
+                    m.steps) == counters
+
+    def test_diff_finds_no_failure(self):
+        report = run_diff(parse_program(self.SRC), "f", ["list:6"], 50, 1)
+        assert report.failures == [] and report.trace_divergences == []
+
+
+def test_printed_hole_and_a_nested_pattern_that_fails_on_a_field():
+    # print renders the hole in its argument; (Pair a b) does not match the
+    # int 5, so the second clause is taken.
+    v, m, i = run_src("""(program (main
+      (seq (call print (constr Box (hole)))
+        (match (constr Cons 5 (constr Nil))
+          (case (Cons (Pair a b) rest) 0)
+          (case (Cons y rest) (tuple y 1))))))""", "main", [])
+    assert i.render(v) == "(Tuple 5 1)"
+    assert m.effect_trace == ["(Box <hole>)"]
