@@ -28,6 +28,7 @@ forms only, so printing is canonicalizing.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 
@@ -211,7 +212,7 @@ def build_expr(node):
         return Int(_int(rest[0]), span=sp)
     if head == "var":
         need(1, "symbol")
-        if not isinstance(rest[0], Atom):
+        if not isinstance(rest[0], Atom) or is_int(rest[0].text):
             raise _err(node, "expected symbol")
         return Var(rest[0].text, span=sp)
     if head == "call":
@@ -221,7 +222,7 @@ def build_expr(node):
         return Call(rest[0].text, (yield _build_each(rest[1:])), attrs, span=sp)
     if head == "let":
         need(3, "binder, bound, body")
-        if not isinstance(rest[0], Atom):
+        if not isinstance(rest[0], Atom) or is_int(rest[0].text):
             raise _err(node, "let binder must be a symbol")
         return Let(rest[0].text, *(yield _build_each(rest[1:])), span=sp)
     if head == "seq":
@@ -289,7 +290,7 @@ def build_fundef(node):
         raise _err(node, "expected (fun attrs? name (params) body)")
     params = []
     for p in rest[1].items:
-        if not isinstance(p, Atom):
+        if not isinstance(p, Atom) or is_int(p.text):
             raise _err(rest[1], "parameters must be symbols")
         params.append(p.text)
     if not params:
@@ -342,17 +343,19 @@ def parse_program(text: str) -> Program:
 # Canonical printer
 #
 # `_LAYOUT` is the one description of each node's text: a list of items,
-# each a string, a break or a child.  A node whose flat width fits in
+# each a string, a break or a child.  A node whose flat text fits in
 # _WIDTH columns from its indent is printed flat, its breaks as spaces.
 # Otherwise each break starts a new line at the indent plus 2, and each
-# child decides again at its own indent.  One bottom-up pass sums the flat
-# widths and one pass emits the text, both with explicit stacks, so the
-# printer takes time linear in its output and has no depth limit.
+# child decides again at its own indent.  One pass with an explicit stack
+# emits the text; it decides each node as it comes to it, by expanding
+# the node's items flat until they end or pass the room left on the line.
+# That look-ahead reads at most _WIDTH characters, so the printer takes
+# time linear in its output and has no depth limit.
 # ---------------------------------------------------------------------------
 
 _WIDTH = 72
-# Breaks.  The value is the flat width, and indexes the break's text in
-# _render.
+# Breaks.  The value is the flat width, so a flat break is that many
+# spaces, and it indexes the broken text in _render.
 _SPACE = 1  # flat: " "; broken: a newline and the indent plus 2
 _NEWLINE = 0  # flat: nothing; broken: a bare newline (no arguments follow)
 
@@ -392,8 +395,9 @@ _LAYOUT = {
     PVar: lambda x: [x.name],
     PWild: lambda x: ["_"],
     PInt: lambda x: [str(x.n)],
+    # Bare only where the reader takes the atom for a constructor.
     PConstr: lambda x: ([f"({x.tag}", *_each(" ", x.subpatterns, None), ")"]
-                        if x.subpatterns else [x.tag]),
+                        if x.subpatterns or not x.tag[0].isupper() else [x.tag]),
     # No breaks: the members of each group at indent 4, main at 8.
     Program: lambda x: ["(program",
                         *(it for g in x.groups
@@ -402,65 +406,56 @@ _LAYOUT = {
 }
 
 
-def _measure(root) -> dict:
-    """id(node) -> (flat width, items) for root and every node under it."""
+def _flat(items, room):
+    """The flat text of a node's items, each child's items expanded where
+    the child stands, or None as soon as it passes `room` characters."""
 
-    order = []  # pre-order, so each node comes before its children
-    stack = [root]
+    out = []
+    stack = items[::-1]
     while stack:
-        x = stack.pop()
-        layout = _LAYOUT.get(x.__class__)
-        if layout is None:
-            raise TypeError(f"cannot print {x!r}")
-        items = layout(x)
-        order.append((x, items))
-        for it in items:
-            if it.__class__ is tuple:
-                stack.append(it[0])
-    table = {}
-    for x, items in reversed(order):
-        w = 0
-        for it in items:
-            c = it.__class__
-            if c is str:
-                w += len(it)
-            elif c is int:
-                w += it
-            else:
-                w += table[id(it[0])][0]
-        table[id(x)] = (w, items)
-    return table
+        it = stack.pop()
+        c = it.__class__
+        if c is tuple:
+            stack.extend(reversed(_LAYOUT[it[0].__class__](it[0])))
+            continue
+        if c is int:
+            it = " " * it
+        room -= len(it)
+        if room < 0:
+            return None
+        out.append(it)
+    return "".join(out)
 
 
 def _render(root, write) -> None:
     """Pass the text of a node at indent 0 to `write` in chunks."""
 
-    table = _measure(root)
     out = []
-    # Strings to emit and (node, indent, flat) to lay out, last one first.
-    stack = [(root, 0, False)]
+    # Strings to emit and (node, indent) to lay out, last one first.
+    stack = [(root, 0)]
     while stack:
         x = stack.pop()
-        if x.__class__ is str:
-            out.append(x)
-            if len(out) >= 1024:
-                write("".join(out))
-                out.clear()
-            continue
-        node, indent, flat = x
-        width, items = table[id(node)]
-        flat = flat or indent + width <= _WIDTH
-        breaks = ("", " ") if flat else ("\n", "\n" + " " * (indent + 2))
-        for it in reversed(items):
-            c = it.__class__
-            if c is str:
-                stack.append(it)
-            elif c is int:
-                stack.append(breaks[it])
-            elif it[1] is None:
-                stack.append((it[0], 0, True))
-            else:
-                stack.append((it[0], indent + it[1], flat))
+        if x.__class__ is not str:
+            node, indent = x
+            items = _LAYOUT[node.__class__](node)
+            x = _flat(items, _WIDTH - indent)
+            if x is None:
+                breaks = ("\n", "\n" + " " * (indent + 2))
+                for it in reversed(items):
+                    c = it.__class__
+                    if c is str:
+                        stack.append(it)
+                    elif c is int:
+                        stack.append(breaks[it])
+                    elif it[1] is None:
+                        stack.append(_flat([it], math.inf))
+                    else:
+                        stack.append((it[0], indent + it[1]))
+                continue
+        out.append(x)
+        if len(out) >= 1024:
+            write("".join(out))
+            out.clear()
     write("".join(out))
 
 

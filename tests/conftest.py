@@ -3,7 +3,8 @@ import pathlib
 
 import pytest
 
-from tmc_forge.surface import parse_program
+from tmc_forge.ir import FunDef, Let, Letrec, Program, children
+from tmc_forge.surface import is_int, parse_program
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 CORPUS = ROOT / "corpus"
@@ -36,6 +37,28 @@ def same_tree(a, b) -> bool:
         elif x != y:
             return False
     return True
+
+
+def binds_integer_name(tree) -> bool:
+    """Whether a let binder or a parameter in tree (a Program or an
+    expression) looks like an integer: the reader refuses such a name."""
+
+    stack = [tree]
+    while stack:
+        x = stack.pop()
+        if isinstance(x, Program):
+            stack += [x.main, *(f for g in x.groups for f in g)]
+        elif isinstance(x, FunDef):
+            if any(map(is_int, x.params)):
+                return True
+            stack.append(x.body)
+        elif isinstance(x, Let) and is_int(x.binder):
+            return True
+        else:
+            stack += [c for c, _, _ in children(x)]
+            if isinstance(x, Letrec):
+                stack += x.group
+    return False
 
 
 def marked_chain(depth: int) -> str:

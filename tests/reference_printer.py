@@ -38,7 +38,7 @@ def _pat_str(p: Pattern) -> str:
     if isinstance(p, PInt):
         return str(p.n)
     assert isinstance(p, PConstr)
-    if not p.subpatterns:
+    if not p.subpatterns and p.tag[0].isupper():
         return p.tag
     return "(" + " ".join([p.tag] + [_pat_str(s) for s in p.subpatterns]) + ")"
 

@@ -59,8 +59,12 @@ class TestParse:
     ("(program (main (let x 1)))", 15,
      "'let' takes 3 argument(s) (expected binder, bound, body)"),
     ("(program (main (var (x))))", 15, "expected symbol"),
+    # An integer-looking atom is no symbol: printed bare, it reads back as
+    # an integer.
+    ("(program (main (var 5)))", 15, "expected symbol"),
     ("(program (main (call)))", 15, "call needs a callee symbol"),
     ("(program (main (let (x) 1 x)))", 15, "let binder must be a symbol"),
+    ("(program (main (let 5 1 (var 5))))", 15, "let binder must be a symbol"),
     ("(program (main (constr)))", 15, "constr needs a tag symbol"),
     ("(program (main (match x)))", 15,
      "match needs a scrutinee and at least one clause"),
@@ -73,6 +77,8 @@ class TestParse:
     ("(program (letrec (fun f x x)) (main 0))", 17,
      "expected (fun attrs? name (params) body)"),
     ("(program (letrec (fun f ((a)) a)) (main 0))", 24,
+     "parameters must be symbols"),
+    ("(program (letrec (fun f (x -1) x)) (main 0))", 24,
      "parameters must be symbols"),
     ("(program (letrec (fun f () 0)) (main 0))", 24,
      "function needs at least one parameter"),

@@ -1,5 +1,6 @@
 """The linear printer against the recursive reference printer, at the
-72-column boundary of every form, and at depths the reference cannot reach."""
+72-column boundary of every form, and at depths the reference cannot reach;
+and the printer's work per node."""
 
 import sys
 
@@ -24,12 +25,23 @@ from tmc_forge.ir import (
     SetRef,
     Var,
 )
-from tmc_forge.surface import parse_program, print_program
+from tmc_forge import surface
+from tmc_forge.surface import ParseError, parse_program, print_program
 from tmc_forge.transform import TransformError, transform_program
 
 import reference_printer as ref
-from conftest import CORPUS, GOLDENS, same_tree
+from conftest import (
+    CORPUS,
+    GOLDENS,
+    ROOT,
+    binds_integer_name,
+    marked_chain,
+    same_tree,
+)
 from test_properties import programs
+
+sys.path.insert(0, str(ROOT / "benchmark"))
+from workloads import corpus_units, generate_program  # noqa: E402
 
 
 def test_corpus_and_goldens_match_the_reference():
@@ -58,17 +70,21 @@ def test_generated_programs_and_transforms_match_the_reference(case):
 
 
 # Every node kind, with names of varied length so that widths straddle the
-# limit at varied indents.
+# limit at varied indents.  Binders may look like integers, which the reader
+# refuses, and constructor tags need not be capitalized.
 _names = st.sampled_from(["x", "acc", "a_much_longer_name", "v" * 30])
+_binders = st.sampled_from(["x", "acc", "a_much_longer_name", "v" * 30, "7",
+                            "-12"])
 _pats = st.deferred(lambda: st.one_of(
     _names.map(PVar), st.just(PWild()), st.integers(-9, 99).map(PInt),
-    st.tuples(st.sampled_from(["Nil", "Cons", "Node"]),
+    st.tuples(st.sampled_from(["Nil", "Cons", "Node", "nil", "x", "5", "-3",
+                               "_"]),
               st.lists(_pats, max_size=3)).map(lambda t: PConstr(*t))))
 _marks = st.sampled_from([frozenset(), frozenset({"tail_mod_cons"})])
 
 
 def _fundefs(body):
-    return st.builds(FunDef, _names, st.lists(_names, min_size=1, max_size=3),
+    return st.builds(FunDef, _names, st.lists(_binders, min_size=1, max_size=3),
                      body, _marks)
 
 
@@ -76,7 +92,7 @@ def _compound(kids):
     return st.one_of(
         st.builds(Call, _names, st.lists(kids, max_size=3),
                   st.sampled_from([frozenset(), frozenset({"tailcall"})])),
-        st.builds(Let, _names, kids, kids),
+        st.builds(Let, _binders, kids, kids),
         st.builds(Seq, kids, kids),
         st.builds(Constr, st.sampled_from(["Cons", "Pair", "Tuple"]),
                   st.lists(kids, max_size=3)),
@@ -97,7 +113,13 @@ _exprs = st.recursive(
        _exprs)
 def test_every_node_kind_matches_the_reference(groups, main):
     p = Program(groups, main)
-    assert print_program(p) == ref.print_program(p)
+    text = print_program(p)
+    assert text == ref.print_program(p)
+    if binds_integer_name(p):
+        with pytest.raises(ParseError, match="symbol"):
+            parse_program(text)
+    else:
+        assert same_tree(parse_program(text), p)
 
 
 # ---------------------------------------------------------------------------
@@ -207,3 +229,66 @@ def test_chain_of_depth_3000_prints_under_the_default_recursion_limit():
     assert group.splitlines()[-1] == (" " * 8010 + "rest"
                                       + ")" * (2 + 1000 + 1000 + 2 * 1000 + 2))
     assert main == "(int 0)))"
+
+
+# ---------------------------------------------------------------------------
+# Work per node.  Each node's layout is built when the node is printed and
+# again by each ancestor whose look-ahead reaches it, which starts within
+# _WIDTH characters of it; so the calls of `_LAYOUT` stay within a fixed
+# multiple of the node count, whatever the depth or the width.
+# ---------------------------------------------------------------------------
+
+LAYOUT_CALLS_PER_NODE = 3
+
+
+def _layout_calls_per_node(root, monkeypatch):
+    layouts = dict(surface._LAYOUT)
+    nodes, stack = 0, [root]
+    while stack:
+        x = stack.pop()
+        nodes += 1
+        stack += [it[0] for it in layouts[x.__class__](x)
+                  if it.__class__ is tuple]
+    calls = 0
+
+    def counted(layout):
+        def count(x):
+            nonlocal calls
+            calls += 1
+            return layout(x)
+        return count
+
+    with monkeypatch.context() as m:
+        for cls, layout in layouts.items():
+            m.setitem(surface._LAYOUT, cls, counted(layout))
+        print_program(root, write=lambda chunk: None)
+    return calls / nodes
+
+
+def _with_transform(programs):
+    for p in programs:
+        yield p
+        try:
+            yield transform_program(p)
+        except TransformError:
+            pass
+
+
+def test_layout_calls_per_node_on_corpus_and_pool(monkeypatch):
+    units = corpus_units()
+    sources = [path.read_text() for path in sorted(CORPUS.glob("*.tmc"))]
+    sources += [generate_program(i, units) for i in range(64)]
+    for p in _with_transform(map(parse_program, sources)):
+        ratio = _layout_calls_per_node(p, monkeypatch)
+        assert 1 <= ratio <= LAYOUT_CALLS_PER_NODE
+
+
+def test_layout_calls_per_node_on_a_deep_chain(monkeypatch):
+    p = transform_program(parse_program(marked_chain(3000)))
+    assert 1 <= _layout_calls_per_node(p, monkeypatch) <= LAYOUT_CALLS_PER_NODE
+
+
+def test_layout_calls_per_node_on_a_wide_call(monkeypatch):
+    call = Call("f", [Var(f"x{i}") for i in range(20000)])
+    ratio = _layout_calls_per_node(call, monkeypatch)
+    assert 1 <= ratio <= LAYOUT_CALLS_PER_NODE

@@ -12,15 +12,18 @@ from tmc_forge.ir import (
     Let,
     Match,
     PConstr,
+    PInt,
     PVar,
+    PWild,
     Program,
     Seq,
     Span,
     Var,
 )
+from tmc_forge.runtime import eval_program
 from tmc_forge.surface import ParseError, parse_program, print_program
 
-from conftest import CORPUS, same_tree
+from conftest import CORPUS, binds_integer_name, same_tree
 
 
 ALL_CORPUS = sorted(CORPUS.glob("*.tmc"))
@@ -152,17 +155,44 @@ def test_printer_minimal_program():
     assert print_program(Program([], Int(0))) == "(program\n  (main (int 0)))"
 
 
+@pytest.mark.parametrize("pattern,arg", [("(nil)", 7), ("(5)", 5), ("(_)", 7)])
+def test_nullary_pattern_that_is_not_capitalized_reads_back(pattern, arg):
+    # Printed bare, (nil) would read back as a variable, (5) as an integer
+    # and (_) as a wildcard, each matching 7 or 5.
+    source = parse_program(
+        f"(program (letrec (fun f (x) (match x (case {pattern} (int 1))"
+        f" (case _ (int 2))))) (main (call f (int {arg}))))")
+    printed = parse_program(print_program(source))
+    assert same_tree(printed, source)
+    assert [eval_program(p, "f", [arg])[0] for p in (source, printed)] == [2, 2]
+
+
 _names = st.sampled_from(["x", "y", "acc"])
+# The reader refuses a binder that looks like an integer.
+_binders = st.sampled_from(["x", "y", "acc", "7", "-12"])
+# A nullary constructor whose tag is not capitalized prints in parentheses.
+_pats = st.deferred(lambda: st.one_of(
+    _names.map(PVar), st.just(PWild()), st.integers(-9, 9).map(PInt),
+    st.sampled_from(["Nil", "nil", "x", "5", "-3", "_"]).map(
+        lambda tag: PConstr(tag, [])),
+    st.lists(_pats, min_size=1, max_size=2).map(lambda s: PConstr("Cons", s))))
 _expr = st.deferred(lambda: st.one_of(
     st.integers(-99, 99).map(Int),
     _names.map(Var),
     st.tuples(_expr, _expr).map(lambda t: Seq(*t)),
-    st.tuples(_names, _expr, _expr).map(lambda t: Let(*t)),
+    st.tuples(_binders, _expr, _expr).map(lambda t: Let(*t)),
     st.lists(_expr, max_size=3).map(lambda a: Constr("Pair", a)),
+    st.tuples(_expr, st.lists(st.tuples(_pats, _expr), min_size=1,
+                              max_size=2)).map(lambda t: Match(*t)),
 ))
 
 
 @given(_expr)
 def test_round_trip_random_expressions(e):
     p = Program([[FunDef("f", ["x", "y", "acc"], e)]], Int(0))
-    assert same_tree(parse_program(print_program(p)), p)
+    text = print_program(p)
+    if binds_integer_name(p):
+        with pytest.raises(ParseError, match="symbol"):
+            parse_program(text)
+    else:
+        assert same_tree(parse_program(text), p)
