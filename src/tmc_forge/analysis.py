@@ -67,7 +67,8 @@ class ScopeVerdict:
     warnings: list[Diagnostic] = field(default_factory=list)
     # one TailcallNotSatisfiable per (@ tailcall) that cannot hold, in order
     unsatisfiable: list[Diagnostic] = field(default_factory=list)
-    # one AmbiguousTmc per constructor whose arguments compete, in order
+    # one AmbiguousTmc per constructor of a context whose arguments compete,
+    # by span; its candidates are the calls of the context below it
     errors: list[Diagnostic] = field(default_factory=list)
     # every function definition, nested ones included, in source order
     definitions: list[FunDef] = field(default_factory=list)
@@ -123,8 +124,6 @@ class _Found(NamedTuple):
 
     annotated: bool  # one of them carries (@ tailcall)
     strict: bool  # one of them is strictly modulo cons
-    calls: object  # the candidate calls, as a tree for `_leaves`
-    errors: object  # the AmbiguousTmc errors on the way, as a tree
 
 
 def _repeats(names) -> list[str]:
@@ -134,16 +133,17 @@ def _repeats(names) -> list[str]:
     return [v for v in names if v in seen or seen.add(v)]
 
 
-def _leaves(tree) -> list:
-    """The leaves of a tree of lists, left to right; None is empty."""
+def _reach(context: dict, roots: list) -> list:
+    """The nodes of `context` reached from roots through tail-modulo-cons
+    children, left to right; a node without an entry ends the search."""
 
-    out, stack = [], [tree]
+    out, stack = [], roots[::-1]
     while stack:
         x = stack.pop()
-        if isinstance(x, list):
-            stack.extend(reversed(x))
-        elif x is not None:
+        if id(x) in context:
             out.append(x)
+            stack.extend([c for c, _, tmc in children(x)
+                          if tmc is not None][::-1])
     return out
 
 
@@ -158,6 +158,7 @@ def resolve_scope(p: Program) -> ScopeVerdict:
 
     verdict = ScopeVerdict()
     useless: dict[int, Diagnostic] = {}
+    ambiguous: list[tuple[Constr, Diagnostic]] = []  # (e, its AmbiguousTmc)
     defs: dict[str, Optional[FunDef]] = {}  # name -> the definition in scope
     enclosing: set[int] = set()  # ids of the enclosing groups' definitions
 
@@ -235,7 +236,7 @@ def resolve_scope(p: Program) -> ScopeVerdict:
             if not (eligible and tail):
                 return None
             verdict.context[id(e)] = None  # a candidate
-            return _Found(TAILCALL in e.attrs, under, e, None)
+            return _Found(TAILCALL in e.attrs, under)
         if not below:
             return None
         if len(below) == 1:
@@ -243,32 +244,23 @@ def resolve_scope(p: Program) -> ScopeVerdict:
             verdict.context[id(e)] = i if isinstance(e, Constr) else None
             return found
         found = [r for _, r in below]
-        calls = [r.calls for r in found]
-        errors = [r.errors for r in found]
         verdict.context[id(e)] = None
         if isinstance(e, Constr):
-            picked = [(i, r) for i, r in below if r.annotated]
+            picked = [i for i, r in below if r.annotated]
             if len(picked) == 1:  # the other arguments are holes
-                j, r = picked[0]
-                verdict.context[id(e)], errors = j, r.errors
-                # Drop their entries, and those reached from them through
-                # tail-modulo-cons children; a node without an entry ends
-                # the search, so that each entry is dropped once.
-                stack = [e.args[i] for i, _ in below if i != j]
-                while stack:
-                    x = stack.pop()
-                    if id(x) in verdict.context:
-                        del verdict.context[id(x)]
-                        stack.extend(c for c, _, tmc in children(x)
-                                     if tmc is not None)
+                verdict.context[id(e)] = j = picked[0]
+                for x in _reach(verdict.context,
+                                [e.args[i] for i, _ in below if i != j]):
+                    del verdict.context[id(x)]
             else:
-                errors.insert(0, Diagnostic(
+                ambiguous.append((e, Diagnostic(
                     "Error", "AmbiguousTmc",
                     f"{len(below)} constructor arguments contain TMC "
                     "candidates; add a (@ tailcall) annotation to pick one",
-                    e.span, candidates=_leaves(calls)))
+                    e.span, candidates=[x for x in _reach(verdict.context, [e])
+                                        if isinstance(x, Call)])))
         return _Found(any(r.annotated for r in found),
-                      any(r.strict for r in found), calls, errors)
+                      any(r.strict for r in found))
 
     def group(fs: list[FunDef], marked: bool):
         """Record each definition of fs, then walk its body."""
@@ -292,7 +284,6 @@ def resolve_scope(p: Program) -> ScopeVerdict:
             inside = marked or TAIL_MOD_CONS in f.attrs
             body = yield walk(f.body, inside, dict.fromkeys(f.params, 1),
                               f, False)
-            verdict.errors.extend(_leaves(body and body.errors))
             if TAIL_MOD_CONS in f.attrs and not (body and body.strict):
                 useless[id(f)] = Diagnostic(
                     "Warning", "UselessMark",
@@ -310,11 +301,14 @@ def resolve_scope(p: Program) -> ScopeVerdict:
         drive(group(fs, False))
     misplaced(p.main)
     drive(walk(p.main, False, {}, None, False))
-    # The walkers reach themselves through their cells; unbound, the call's
-    # trees are freed by reference counting, not left to the collector.
+    # The walkers reach themselves through their cells; unbound, they are
+    # freed by reference counting, not left to the collector.
     del walk, group
     verdict.warnings = [useless[id(f)] for f in verdict.definitions
                         if id(f) in useless]
-    # A nested function's errors were found before its encloser's.
-    verdict.errors.sort(key=lambda d: d.span.byte_start if d.span else 0)
+    # An ambiguous constructor in an unpicked argument is a hole: its entry,
+    # and so its error, went with that argument's.
+    verdict.errors = sorted(
+        (d for e, d in ambiguous if id(e) in verdict.context),
+        key=lambda d: d.span.byte_start if d.span else 0)
     return verdict

@@ -241,7 +241,7 @@ def cmd_diff(args) -> int:
 
 def cmd_bench(args) -> int:
     p = _load(args.file)
-    sizes = [s for s in args.sizes.split(",") if s]
+    sizes = args.sizes.split(",")
     try:  # each size stands for N in a spec, so it follows the integer rule
         if not all(map(is_int, sizes)):
             raise ValueError

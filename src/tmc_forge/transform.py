@@ -98,23 +98,6 @@ def _plug(cctx: Optional[tuple], e: Expr) -> Expr:
     return e
 
 
-def check_single_completion(body: Expr, dps_names: set[str]) -> None:
-    """Every control path of a DPS body must end in exactly one
-    destination write or one call to a DPS companion."""
-
-    stack = [body]
-    while stack:
-        e = stack.pop()
-        if isinstance(e, SetRef) or (isinstance(e, Call)
-                                     and e.callee in dps_names):
-            continue
-        if not isinstance(e, (Let, Seq, Match, Letrec)):
-            raise AssertionError(
-                "internal error: a control path of a DPS body does not end "
-                "in a destination write or DPS call")
-        stack.extend(c for c, _, tmc in children(e) if tmc is not None)
-
-
 def transform_program(p: Program, compress: bool = True,
                       diagnostics: Optional[list[Diagnostic]] = None) -> Program:
     """Whole-program rewrite; raises TransformError on any Error diagnostic.
@@ -132,7 +115,6 @@ def transform_program(p: Program, compress: bool = True,
     if errors:
         raise TransformError(errors)
     context, dps_name = verdict.context, marks.dps_name
-    dps_names = set(dps_name.values())
     done: dict[int, list[FunDef]] = {}  # id(group) -> rewritten group
 
     def walk(e: Expr, dest: Optional[Dest], cctx: Optional[tuple],
@@ -141,7 +123,9 @@ def transform_program(p: Program, compress: bool = True,
         function when `dest` is None, else into DPS code that writes the
         result, wrapped in the delayed `cctx`, to `dest`.  A hole, or a
         candidate of the direct version, is copied, which needs no `namer`:
-        call attributes are dropped and nested letrec groups rewritten."""
+        call attributes are dropped and nested letrec groups rewritten.
+        With `dest`, each branch returns a `setref`, a DPS call, or a node
+        whose tail-modulo-cons children it walks with a destination."""
 
         if dest is not None and id(e) not in context:  # a hole
             return dest.setref(_plug(cctx, (yield walk(e, None, None, None))))
@@ -223,7 +207,6 @@ def transform_program(p: Program, compress: bool = True,
                 dst, idx = (namer.fresh(v) if v in marks.used else v
                             for v in ("dst", "idx"))
                 body = yield walk(f.body, Dest(dst, Var(idx)), None, namer)
-                check_single_completion(body, dps_names)
                 out.append(FunDef(dps_name[f.name], [dst, idx, *f.params],
                                   body, frozenset(), span=f.span))
         done[id(fs)] = out

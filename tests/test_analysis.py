@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from tmc_forge.analysis import collect_marks, resolve_scope
 from tmc_forge.ir import TAILCALL, Call, Constr, Letrec, children
 from tmc_forge.surface import parse_program
-from tmc_forge.transform import TransformError, transform_program
 
 from conftest import CORPUS, ROOT, load
 from test_properties import programs
@@ -74,6 +73,7 @@ def context_by_hand(verdict):
     without reading the context: from each function body down
     tail-modulo-cons children, and through a constructor into its one
     argument with candidates, or else its one argument with annotated
+    candidates, or else (an ambiguous constructor) all its arguments with
     candidates, to every node with a candidate at or below it.  The
     candidates are the eligible calls so reached."""
     eligible = {id(c) for c, ok in verdict.sites if ok}
@@ -99,23 +99,40 @@ def context_by_hand(verdict):
             reached.add(id(x))
             kids = [c for c, _, tmc in children(x)
                     if tmc is not None and below[id(c)][0]]
-            if isinstance(x, Constr) and len(kids) > 1:
-                kids = [c for c in kids if below[id(c)][1]]
-                assert len(kids) == 1
+            picked = [c for c in kids if below[id(c)][1]]
+            if isinstance(x, Constr) and len(kids) > 1 and len(picked) == 1:
+                kids = picked
             stack.extend(kids)
     return reached
 
 
 def assert_exact_context(text, what):
-    """If text transforms, its context holds exactly the nodes that
-    `context_by_hand` reaches."""
-    p = parse_program(text)
-    try:
-        transform_program(p)
-    except TransformError:
+    """If text is well formed, its context holds exactly the nodes that
+    `context_by_hand` reaches, and its AmbiguousTmc errors are one per
+    constructor reached in more than one argument, each listing the calls
+    reached below it, left to right."""
+    verdict = resolve_scope(parse_program(text))
+    if verdict.malformed:
         return
-    verdict = resolve_scope(p)
-    assert set(verdict.context) == context_by_hand(verdict), what
+    reached = context_by_hand(verdict)
+    assert set(verdict.context) == reached, what
+    expected, stack = [], [f.body for f in verdict.definitions]
+    while stack:
+        x = stack.pop()
+        kids = [c for c, _, tmc in children(x)
+                if tmc is not None and id(c) in reached]
+        if isinstance(x, Constr) and id(x) in reached and len(kids) > 1:
+            calls, below = [], [x]
+            while below:
+                y = below.pop()
+                calls += [y] if isinstance(y, Call) else []
+                below += [c for c, _, tmc in reversed(children(y))
+                          if tmc is not None and id(c) in reached]
+            expected.append((x.span, calls))
+        stack += [c for c, _, tmc in children(x) if tmc is not None]
+    expected.sort(key=lambda e: e[0].byte_start)
+    assert [(d.code, d.span, d.candidates) for d in verdict.errors] == [
+        ("AmbiguousTmc", span, calls) for span, calls in expected], what
 
 
 def chosen(verdict):
@@ -224,6 +241,40 @@ class TestDecompose:
         assert [d.candidates for d in verdict.errors] == [
             [*pair1.args, c, *pair2.args], pair1.args, pair2.args]
 
+    def test_candidates_below_an_unpicked_argument_are_holes(self):
+        p = parse_program(
+            "(program (letrec (fun (@ tail_mod_cons) f (t) (match t"
+            " (case (Leaf v) (constr Leaf v))"
+            " (case (Node a b c) (constr Pair (call (@ tailcall) f a)"
+            "   (constr Box (call (@ tailcall) f b) (call f c)))))))"
+            " (main (int 0)))")
+        verdict, f = verdict_and_function(p, "f")
+        pair = f.body.clauses[1][1]
+        fa, box = pair.args
+        fb, fc = box.args
+        # Box picks `f b`, so `f c` is a hole and no candidate of Pair.
+        [diag] = verdict.errors
+        assert diag.span is pair.span
+        assert diag.candidates == [fa, fb]
+        assert id(fc) not in verdict.context
+
+    def test_a_nested_body_keeps_its_candidates_to_itself(self):
+        p = parse_program(
+            "(program (letrec (fun (@ tail_mod_cons) f (t) (match t"
+            " (case (Leaf v) (constr Leaf v))"
+            " (case (Node a b) (constr Node (call f a)"
+            "   (letrec (fun (@ tail_mod_cons) g (u)"
+            "     (constr Pair (call g u) (call g u))) (call f b)))))))"
+            " (main (int 0)))")
+        verdict, f = verdict_and_function(p, "f")
+        node = f.body.clauses[1][1]
+        fa, letrec = node.args
+        pair = letrec.group[0].body
+        # The letrec's body is the second argument's one candidate; g's
+        # body lies in no argument of Node and has an error of its own.
+        assert [(d.span, d.candidates) for d in verdict.errors] == [
+            (node.span, [fa, letrec.body]), (pair.span, pair.args)]
+
     def test_annotation_singles_out_one_argument(self):
         p = load("tree_map_annotated.tmc")
         verdict, f = verdict_and_function(p, "tree_map")
@@ -269,7 +320,8 @@ class TestDecompose:
 class TestExactContext:
     """The context holds the candidates and the nodes on the way to them
     through chosen arguments, and nothing else: no entry below an argument
-    that was not picked."""
+    that was not picked.  Each AmbiguousTmc lists the calls of the context
+    below its constructor."""
 
     def test_pair_box(self):
         p = parse_program(PAIR_BOX)

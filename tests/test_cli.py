@@ -1,7 +1,10 @@
 """Command-line behavior: exit codes, goldens, CSV output, determinism."""
 
+import contextlib
 import csv
+import io
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -14,7 +17,7 @@ from tmc_forge.cli import main
 from tmc_forge.gen import Lcg, gen_value, mix_seed
 from tmc_forge.ir import Constr
 from tmc_forge.runtime import TmcRuntimeError, eval_program
-from tmc_forge.surface import parse_program, print_program
+from tmc_forge.surface import is_int, parse_program, print_program
 from tmc_forge.transform import TransformError, transform_program
 
 from conftest import CORPUS, FIXTURES, GOLDENS, marked_chain
@@ -686,6 +689,13 @@ class TestBench:
      "--arg", "list:3", "--sizes=-3,-7"),
     ("bench", "map_variants.tmc", "--entry", "map", "--arg", "fun:add1",
      "--arg", "list:N", "--sizes=-3,-7"),
+    # Each field is an integer literal: an empty one is no size.
+    ("bench", "map_variants.tmc", "--entry", "map", "--arg", "fun:add1",
+     "--arg", "list:N", "--sizes", "10,,20"),
+    ("bench", "map_variants.tmc", "--entry", "map", "--arg", "fun:add1",
+     "--arg", "list:N", "--sizes", ""),
+    ("bench", "map_variants.tmc", "--entry", "map", "--arg", "fun:add1",
+     "--arg", "list:N", "--sizes", ","),
 ])
 def test_bad_input_spec_is_a_one_line_usage_error(argv, capsys):
     cmd, name, *rest = argv
@@ -957,3 +967,70 @@ def test_rejected_rewrite_is_one_line_and_exit_1(argv, capsys, monkeypatch):
     assert err == ("ERROR AmbiguousTmc corpus/tree_map_ambiguous.tmc:9:10 2 "
                    "constructor arguments contain TMC candidates; add a "
                    "(@ tailcall) annotation to pick one\n")
+
+
+# The tokens of the surface syntax; a swap leaves those in FIXED alone.
+TOKEN = re.compile(r"[()]|[^\s()]+")
+FIXED = {"(", ")", "program", "letrec", "fun", "main", "int", "var", "call",
+         "let", "seq", "constr", "match", "case", "setref", "hole", "if",
+         "tuple", "@", "tail_mod_cons", "tailcall", "_"}
+ARGS = [[], ["3"], ["list:3"], ["tree:2"], ["fun:add1", "list:3"],
+        ["fun:add1", "tree:2"]]
+
+
+@st.composite
+def mutants(draw):
+    """A generated program or a corpus file with one to three tokens
+    deleted, inserted or replaced.  Most edits swap an integer for another
+    of the program, or a name for another, so that most mutants parse."""
+    text = draw(st.one_of(programs().map(lambda case: case[1]),
+                          st.sampled_from(CORPUS_TEXTS)))
+    tokens = TOKEN.findall(re.sub(";.*", "", text))  # comments dropped
+    for _ in range(draw(st.integers(1, 3))):
+        edit = draw(st.sampled_from(["swap"] * 12 + ["delete", "insert",
+                                                    "replace"]))
+        if edit == "swap":
+            i = draw(st.sampled_from([j for j, t in enumerate(tokens)
+                                      if t not in FIXED]))
+            tokens[i] = draw(st.sampled_from(
+                [t for t in tokens
+                 if t not in FIXED and is_int(t) == is_int(tokens[i])]))
+            continue
+        i = draw(st.integers(0, len(tokens) - 1))
+        if edit == "delete":
+            del tokens[i]
+        elif edit == "insert":
+            tokens.insert(i, draw(st.sampled_from(tokens)))
+        else:
+            tokens[i] = draw(st.sampled_from(tokens))
+    return " ".join(tokens)
+
+
+CORPUS_TEXTS = [p.read_text() for p in sorted(CORPUS.glob("*.tmc"))]
+
+
+@pytest.fixture(scope="module")
+def mutant_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("mutants") / "mutant.tmc"
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(text=mutants(), data=st.data())
+def test_main_never_raises(mutant_file, text, data):
+    """Whatever the program, each command ends in exit 0, 1 or 2 and
+    writes its diagnostics one line each."""
+    mutant_file.write_text(text)
+    entry = data.draw(st.sampled_from(
+        ["main"] + re.findall(r"\( fun (?:\( @ [^)]*\) )?([^\s()]+)", text)))
+    limits = ["--entry", entry, "--max-steps", "2000"]
+    for spec in data.draw(st.sampled_from(ARGS)):
+        limits += ["--arg", spec]
+    for argv in (["parse"], ["transform"], ["run", *limits],
+                 ["diff", *limits, "--trials", "2"]):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([argv[0], str(mutant_file), *argv[1:]])
+        assert code in (0, 1, 2), (argv, text)
+        assert "Traceback" not in err.getvalue(), (argv, text)
+        assert all(line.startswith(("ERROR ", "WARNING ", "usage error: "))
+                   for line in err.getvalue().splitlines()), (argv, text)

@@ -6,6 +6,7 @@ import threading
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
 
 from tmc_forge.analysis import collect_marks, resolve_scope
 from tmc_forge.gen import list_value
@@ -30,7 +31,11 @@ from tmc_forge.transform import (
     transform_program,
 )
 
-from conftest import load, marked_chain, nested_chain, same_tree
+from conftest import CORPUS, ROOT, load, marked_chain, nested_chain, same_tree
+from test_properties import programs
+
+sys.path.insert(0, str(ROOT / "benchmark"))
+from workloads import corpus_units, generate_program  # noqa: E402
 
 
 def fundefs(p: Program):
@@ -50,6 +55,24 @@ def tail_leaves(e: Expr):
         yield from tail_leaves(e.body)
     else:
         yield e
+
+
+def assert_completes(text, compress, what):
+    """Every control path of each DPS body of text's rewrite ends in one
+    destination write or one call to a DPS companion."""
+    p = parse_program(text)
+    t = transform_program(p, compress=compress)
+    dps_names = set(collect_marks(resolve_scope(p)).dps_name.values())
+    for f in resolve_scope(t).definitions:
+        stack = [f.body] if f.name in dps_names else []
+        while stack:
+            e = stack.pop()
+            if isinstance(e, (Let, Seq, Match, Letrec)):
+                stack += [c for c, _, tmc in children(e) if tmc is not None]
+            else:
+                assert isinstance(e, SetRef) or (
+                    isinstance(e, Call) and e.callee in dps_names), (
+                    what, compress, f.name, e)
 
 
 class TestMapShape:
@@ -86,20 +109,25 @@ class TestDpsTailDiscipline:
     @pytest.mark.parametrize("name", [
         "map.tmc", "filter.tmc", "merge.tmc", "umap.tmc", "map_tail.tmc",
         "tree_map_annotated.tmc", "flatten_nested.tmc", "flatten_mutual.tmc",
-        "map_variants.tmc", "noisy_constr_args.tmc",
+        "map_variants.tmc", "noisy_constr_args.tmc", "map_toplevel_call.tmc",
     ])
     def test_every_dps_tail_leaf_completes_the_destination(self, name):
-        p = load(name)
-        marks = collect_marks(resolve_scope(p))
-        dps_names = set(marks.dps_name.values())
-        t = transform_program(p)
-        for f in resolve_scope(t).definitions:
-            if f.name not in dps_names:
-                continue
-            for leaf in tail_leaves(f.body):
-                ok = (isinstance(leaf, SetRef)
-                      or (isinstance(leaf, Call) and leaf.callee in dps_names))
-                assert ok, (name, f.name, leaf)
+        for compress in (True, False):
+            assert_completes((CORPUS / name).read_text(), compress, name)
+
+    def test_every_dps_path_completes_once_on_the_pool(self):
+        units = corpus_units()
+        for i in range(64):
+            assert_completes(generate_program(i, units), True, f"pool {i}")
+
+    @settings(max_examples=300, deadline=None)
+    @given(programs())
+    def test_every_dps_path_completes_once_on_generated_programs(self, case):
+        for compress in (True, False):
+            try:
+                assert_completes(case[1], compress, case[1])
+            except TransformError:
+                return
 
     @pytest.mark.parametrize("name", [
         "map.tmc", "umap.tmc", "merge.tmc", "tree_map_annotated.tmc",
